@@ -38,7 +38,6 @@ from .sdp_solve import (
     build_sdp_single,
     check_lemma2_bounds,
     extract_vectors,
-    jacobi_eigh,
     psd_project,
 )
 from .rounding_geometry import (

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 
 from .bipartite_vc import maximal_matching_cover
-from .errors import ArgumentError
+from .errors import ArgumentError, ContractViolation
 from .graph_core import CoverPartition, Graph, verify_cover
 
 STATUS_OPTIMAL = "optimal"
@@ -105,7 +105,8 @@ def exact_vc(g: Graph, budget: int = 1_000_000) -> ExactResult:
         return ExactResult(STATUS_UNKNOWN, None, None, counter[0])
     partition = CoverPartition.from_cover(g, best[1])
     ok, uncovered = verify_cover(g, partition)
-    assert ok, f"oracle produced an infeasible cover: {uncovered[:5]}"
+    if not ok:
+        raise ContractViolation(f"oracle produced an infeasible cover: {uncovered[:5]}")
     return ExactResult(STATUS_OPTIMAL, best[0], partition, counter[0])
 
 

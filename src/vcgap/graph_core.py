@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArgumentError, ParseError
+from .errors import ArgumentError, ContractViolation, ParseError
 
 PRIME = "prime"
 DOUBLE_PRIME = "double_prime"
@@ -197,7 +197,8 @@ def duplicate_join(g: Graph) -> DoubledGraph:
         for j in range(n):
             edges.append((i, n + j))
     combined = Graph.build(range(2 * n), edges)
-    assert combined.m == 2 * g.m + n * n
+    if combined.m != 2 * g.m + n * n:
+        raise ContractViolation(f"doubled graph has {combined.m} edges, expected {2 * g.m + n * n}")
     return DoubledGraph(g, combined, origin)
 
 
@@ -249,7 +250,8 @@ def find_odd_cycle(g: Graph) -> Bipartition | OddCycle:
     left = frozenset(v for v in g.vertices if color[v] == 0)
     right = frozenset(v for v in g.vertices if color[v] == 1)
     for u, v in g.edges:
-        assert (u in left) != (v in left), "coloring failed verification"
+        if (u in left) == (v in left):
+            raise ContractViolation(f"coloring failed verification on edge ({u},{v})")
     return Bipartition(left, right)
 
 
@@ -274,11 +276,13 @@ def _cycle_through(u: int, w: int, parent: Mapping[int, int | None], depth: Mapp
 
 def _check_odd_cycle(g: Graph, cycle: Sequence[int]) -> None:
     t = len(cycle)
-    assert t % 2 == 1 and t >= 3, f"cycle length {t} is not odd >= 3"
+    if t % 2 != 1 or t < 3:
+        raise ContractViolation(f"cycle length {t} is not odd >= 3")
     edge_set = set(g.edges)
     for i in range(t):
         u, v = cycle[i], cycle[(i + 1) % t]
-        assert ((min(u, v), max(u, v))) in edge_set, f"({u},{v}) not an edge"
+        if (min(u, v), max(u, v)) not in edge_set:
+            raise ContractViolation(f"({u},{v}) not an edge")
 
 
 def verify_cover(g: Graph, p: CoverPartition) -> tuple[bool, list[tuple[int, int]]]:

@@ -23,9 +23,11 @@ import numpy as np
 from .errors import ArgumentError, ContractViolation, ParseError, SolverError
 from .exact_oracle import STATUS_OPTIMAL, exact_vc
 from .graph_core import Graph, duplicate_join, graph_from_json, induced_subgraph, parse_dimacs, write_dimacs
+from .lp_relax import HalfIntegralityViolation
 from .pipeline import PipelineConfig, RunTrace, evaluate_ratio, mahdis_run, two_approx_baseline
 from .rounding_geometry import Thresholds, build_epsilon_subgraph, classify_property1, odd_cycle_probe
 from .sdp_solve import (
+    ExtractionError,
     admm_solve,
     build_sdp_doubled,
     build_sdp_single,
@@ -394,8 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ArgumentError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
-    except (ContractViolation, SolverError) as exc:
-        print(f"contract violation: {exc}", file=sys.stderr)
+    except (ContractViolation, SolverError, ExtractionError, HalfIntegralityViolation) as exc:
+        print(f"contract violation: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
@@ -495,12 +497,12 @@ def _dispatch(args) -> int:
 
 def _probe_report(base: Graph, gram, doubled: bool, th: Thresholds, cfg: PipelineConfig) -> dict:
     if not doubled:
-        emb = extract_vectors(gram, labels=base.vertices, eig_method=cfg.sdp.eig_method)
+        emb = extract_vectors(gram, labels=base.vertices)
         report = classify_property1(emb, base.vertices, th)
         eps = build_epsilon_subgraph(emb, base, th)
         return {"property": report.to_dict(), "epsilon_subgraph": eps.to_dict()}
     dg = duplicate_join(base)
-    emb = extract_vectors(gram, labels=dg.combined.vertices, eig_method=cfg.sdp.eig_method)
+    emb = extract_vectors(gram, labels=dg.combined.vertices)
     prime_ids = dg.copy_ids("prime")
     dp_ids = dg.copy_ids("double_prime")
     rep_p = classify_property1(emb, prime_ids, th)

@@ -85,7 +85,6 @@ class PipelineConfig:
                 "over_relax": self.sdp.over_relax,
                 "adapt_rho": self.sdp.adapt_rho,
                 "check_every": self.sdp.check_every,
-                "eig_method": self.sdp.eig_method,
             },
             "probe_tol": self.probe_tol,
             "anchor_edge": list(self.anchor_edge) if self.anchor_edge else None,
@@ -111,7 +110,6 @@ class PipelineConfig:
             over_relax=sdp_doc.get("over_relax", SolverConfig.over_relax),
             adapt_rho=sdp_doc.get("adapt_rho", SolverConfig.adapt_rho),
             check_every=sdp_doc.get("check_every", SolverConfig.check_every),
-            eig_method=sdp_doc.get("eig_method", SolverConfig.eig_method),
         )
         anchor = doc.get("anchor_edge")
         return PipelineConfig(
@@ -264,7 +262,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
         return _finish(trace, g, decomp, maximal_matching_cover(h), t0)
 
     t = time.perf_counter()
-    emb = extract_vectors(gram, labels=dg.combined.vertices, eig_method=cfg.sdp.eig_method)
+    emb = extract_vectors(gram, labels=dg.combined.vertices)
     prime_ids = dg.copy_ids("prime")
     dp_ids = dg.copy_ids("double_prime")
     rep_p = classify_property1(emb, prime_ids, th)
@@ -381,7 +379,8 @@ def _bipartite_step(
         return maximal_matching_cover(h)
 
     coloring = find_odd_cycle(eps.graph)
-    assert isinstance(coloring, Bipartition)
+    if not isinstance(coloring, Bipartition):
+        raise ContractViolation("band subgraph passed the odd-cycle probe but is not bipartite")
     matching = max_matching(eps.graph, coloring)
     eps_cover = konig_cover(eps.graph, coloring, matching)
     in_combined = set(eps_cover.in_cover) | (set(prime_ids) - eps.v_eps)

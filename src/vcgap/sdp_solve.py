@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, get_lapack_funcs
 
-from .errors import ArgumentError, VcgapError
+from .errors import ArgumentError, SolverError, VcgapError
 from .graph_core import DoubledGraph, Graph
 
 TAU_FEAS = 1e-5
@@ -66,7 +66,6 @@ class SolverConfig:
     over_relax: float = 1.8
     adapt_rho: bool = True
     check_every: int = 25
-    eig_method: str = "lapack"  # "lapack" | "jacobi"
 
 
 @dataclass
@@ -142,66 +141,39 @@ def build_sdp_doubled(dg: DoubledGraph) -> SdpProblem:
     return SdpProblem(d, con_i, con_j, lo, hi, labels=comb.vertices)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Returns (eigenvalues ascending, orthonormal eigenvector columns). Sweeps
-    stop once the off-diagonal Frobenius mass falls below tol relative to the
-    matrix norm.
-    """
-    A = np.array(a, dtype=float)
-    d = A.shape[0]
-    if A.shape != (d, d):
-        raise ArgumentError("matrix must be square")
-    if d > 1 and np.max(np.abs(A - A.T)) > 1e-9 * max(1.0, np.max(np.abs(A))):
-        raise ArgumentError("matrix must be symmetric")
-    A = (A + A.T) / 2.0
-    V = np.eye(d)
-    scale = max(np.linalg.norm(A), 1e-300)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(np.sum(A * A) - np.sum(np.diag(A) ** 2), 0.0))
-        if off <= tol * scale:
-            break
-        thresh = off / max(d, 1)
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = A[p, q]
-                if abs(apq) < 1e-300 or abs(apq) < 0.01 * thresh * 1e-6:
-                    continue
-                phi = 0.5 * math.atan2(2.0 * apq, A[q, q] - A[p, p])
-                c, s = math.cos(phi), math.sin(phi)
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = A[q, p] = 0.0
-                vp, vq = V[:, p].copy(), V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-    w = np.diag(A).copy()
-    order = np.argsort(w)
-    return w[order], V[:, order]
-
-
-def _eigh(mat: np.ndarray, method: str):
-    if method == "jacobi":
-        return jacobi_eigh(mat)
-    return np.linalg.eigh(mat)
-
-
-def psd_project(mat: np.ndarray, method: str = "lapack") -> np.ndarray:
+def psd_project(mat: np.ndarray) -> np.ndarray:
     """Nearest (Frobenius) positive semidefinite matrix: clip negative eigenvalues."""
-    w, q = _eigh((mat + mat.T) / 2.0, method)
+    sym = mat + mat.T
+    sym /= 2.0
+    w, q = np.linalg.eigh(sym)
     if w[0] >= 0.0:
-        return (mat + mat.T) / 2.0
-    w = np.maximum(w, 0.0)
+        return sym
+    np.maximum(w, 0.0, out=w)
     out = (q * w) @ q.T
-    return (out + out.T) / 2.0
+    np.add(out, out.T, out=sym)
+    sym /= 2.0
+    return sym
 
 
-def _normal_matrix_factor(p: SdpProblem):
+@dataclass(frozen=True)
+class _AffineState:
+    """Cached pieces of the exact projection onto the equality subspace.
+
+    Constraint entries are addressed through flat indices into the raveled
+    matrix: row_i/row_j are (0,i)/(0,j) and ij/ji are (i,j)/(j,i).
+    """
+
+    chol: np.ndarray
+    potrs: Callable
+    iv: np.ndarray
+    jv: np.ndarray
+    row_i: np.ndarray
+    row_j: np.ndarray
+    ij: np.ndarray
+    ji: np.ndarray
+
+
+def _normal_matrix_factor(p: SdpProblem) -> _AffineState | None:
     """Solver state for exact projection onto the equality subspace.
 
     Each constraint row touches the entries (0,i), (0,j), (i,j); two rows
@@ -221,27 +193,34 @@ def _normal_matrix_factor(p: SdpProblem):
     np.add.at(btb, (jv, jv), 1.0)
     np.add.at(btb, (iv, jv), 1.0)
     np.add.at(btb, (jv, iv), 1.0)
-    return (cho_factor(btb), iv, jv)
+    chol, _ = cho_factor(btb)
+    (potrs,) = get_lapack_funcs(("potrs",), (chol,))
+    d = p.dim
+    return _AffineState(chol, potrs, iv, jv, p.con_i, p.con_j, p.con_i * d + p.con_j, p.con_j * d + p.con_i)
 
 
-def _project_affine(V: np.ndarray, p: SdpProblem, state) -> np.ndarray:
+def _project_affine(V: np.ndarray, state: _AffineState | None) -> np.ndarray:
+    """Project V onto the equality subspace in place; V must be C-contiguous."""
     if state is None:
         return V
-    factor, iv, jv = state
-    I, J = p.con_i, p.con_j
-    nv = p.dim - 1
-    r = V[0, I] + V[0, J] - V[I, J] - 1.0
-    t = np.bincount(iv, weights=r, minlength=nv) + np.bincount(jv, weights=r, minlength=nv)
-    y = cho_solve(factor, t)
+    iv, jv = state.iv, state.jv
+    d = V.shape[0]
+    nv = d - 1
+    flat = V.ravel()
+    r = flat[state.row_i] + flat[state.row_j] - flat[state.ij] - 1.0
+    t = np.bincount(iv, r, nv) + np.bincount(jv, r, nv)
+    # cho_solve minus its per-call finiteness scans of the factor and of t
+    y, info = state.potrs(state.chol, t, lower=False, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"potrs rejected argument {-info}")
     lam = r - (y[iv] + y[jv])
-    out = V.copy()
-    c0 = np.bincount(iv, weights=lam, minlength=nv) + np.bincount(jv, weights=lam, minlength=nv)
-    out[0, 1:] -= c0
-    out[1:, 0] -= c0
+    c0 = np.bincount(iv, lam, nv) + np.bincount(jv, lam, nv)
+    flat[1:d] -= c0
+    flat[d::d] -= c0
     # constraint pairs are unique, so fancy assignment has no collisions
-    out[I, J] += lam
-    out[J, I] += lam
-    return out
+    flat[state.ij] += lam
+    flat[state.ji] += lam
+    return V
 
 
 def admm_solve(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> GramSolution:
@@ -251,55 +230,70 @@ def admm_solve(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> GramSolutio
     eigenvalue is nonnegative up to roundoff; equality and box violations are
     reported on the same matrix. Hitting max_iter returns the best candidate
     flagged as nonconverged rather than raising.
+
+    The three blocks' iterates and scaled duals are stacked in (3, dim, dim)
+    arrays so that each elementwise step is one numpy call; every entry still
+    sees the same floating-point operations in the same order as a per-block
+    loop would apply.
     """
     d = p.dim
     if d == 1:
         return GramSolution(np.ones((1, 1)), 0.0, 0.0, 0.0, 1.0, 0, True)
-    factor = _normal_matrix_factor(p)
+    affine = _normal_matrix_factor(p)
+    lo, hi = p.lo, p.hi
     C = np.zeros((d, d))
     C[0, 1:] = 0.5
     C[1:, 0] = 0.5
     rho = cfg.step if cfg.step is not None else max(1.0, math.sqrt(d))
     alpha = cfg.over_relax
+    one_minus_alpha = 1.0 - alpha
+    pull = C / (3.0 * rho)  # objective step; recomputed whenever rho changes
+    max_iter, check_every, adapt_rho = cfg.max_iter, cfg.check_every, cfg.adapt_rho
 
     Z = np.eye(d)
-    U = [np.zeros((d, d)) for _ in range(3)]
-    projections: list[Callable[[np.ndarray], np.ndarray]] = [
-        lambda V: _project_affine(V, p, factor),
-        lambda V: np.clip(V, p.lo, p.hi),
-        lambda V: psd_project(V, cfg.eig_method),
-    ]
+    U = np.zeros((3, d, d))
 
     cand = Z
     prev_obj = math.inf
     last_req = last_rbox = math.inf
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < max_iter:
         it += 1
         Z_prev = Z
-        X = [proj(Z - U[i]) for i, proj in enumerate(projections)]
-        Xh = [alpha * X[i] + (1.0 - alpha) * Z_prev for i in range(3)]
-        Z = (Xh[0] + U[0] + Xh[1] + U[1] + Xh[2] + U[2]) / 3.0 - C / (3.0 * rho)
-        for i in range(3):
-            U[i] += Xh[i] - Z
+        X = Z - U
+        _project_affine(X[0], affine)
+        X[1].clip(lo, hi, out=X[1])  # the method skips np.clip's dispatch layers
+        X2 = psd_project(X[2])
+        X[2] = X2
+        Xh = alpha * X
+        Xh += one_minus_alpha * Z_prev
+        Z = Xh[0] + U[0]
+        Z += Xh[1]
+        Z += U[1]
+        Z += Xh[2]
+        Z += U[2]
+        Z /= 3.0
+        Z -= pull
+        Xh -= Z
+        U += Xh
 
         # Asymmetric residual balancing: raising the penalty (less objective
         # pull) is cheap, lowering it too eagerly stalls feasibility.
-        if cfg.adapt_rho and it % 25 == 0:
+        if adapt_rho and it % 25 == 0:
             primal = math.sqrt(sum(float(np.sum((X[i] - Z) ** 2)) for i in range(3)))
             dual = rho * math.sqrt(3.0) * float(np.linalg.norm(Z - Z_prev))
             if primal > 5.0 * dual and rho < 1e5:
                 rho *= 2.0
-                for i in range(3):
-                    U[i] /= 2.0
+                U /= 2.0
+                pull = C / (3.0 * rho)
             elif dual > 50.0 * primal and rho > 1e-3:
                 rho /= 2.0
-                for i in range(3):
-                    U[i] *= 2.0
+                U *= 2.0
+                pull = C / (3.0 * rho)
 
-        if it % cfg.check_every == 0 or it == cfg.max_iter:
-            cand = X[2]
+        if it % check_every == 0 or it == max_iter:
+            cand = X2
             last_req, last_rbox = _residuals(cand, p)
             obj = float(cand[0, 1:].sum())
             if (
@@ -364,7 +358,6 @@ def extract_vectors(
     gs: GramSolution,
     labels: tuple[int, ...] | None = None,
     tau_factor: float = TAU_FACTOR,
-    eig_method: str = "lapack",
 ) -> VectorEmbedding:
     """Factor a converged Gram solution into unit vectors.
 
@@ -377,7 +370,7 @@ def extract_vectors(
         raise ArgumentError("refusing to factor a nonconverged Gram solution")
     M = (gs.matrix + gs.matrix.T) / 2.0
     d = M.shape[0]
-    w, q = _eigh(M, eig_method)
+    w, q = np.linalg.eigh(M)
     vectors = q * np.sqrt(np.maximum(w, 0.0))
     norms = np.linalg.norm(vectors, axis=1)
     if np.any(norms < 0.5):

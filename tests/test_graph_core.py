@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_is_bipartite, complete_graph, cycle_graph, random_gnp
-from vcgap.errors import ArgumentError, ParseError
+from vcgap.errors import ArgumentError, ContractViolation, ParseError
 from vcgap.graph_core import (
     Bipartition,
     CoverPartition,
     Graph,
     OddCycle,
+    _check_odd_cycle,
     duplicate_join,
     find_odd_cycle,
     graph_from_json,
@@ -188,6 +189,15 @@ class TestFindOddCycle:
                 for i in range(t):
                     u, v = result.vertices[i], result.vertices[(i + 1) % t]
                     assert (min(u, v), max(u, v)) in g.edges
+
+    def test_cycle_check_raises_contract_violation(self):
+        # Raised, not asserted, so the check also runs under python -O.
+        g = cycle_graph(5)
+        with pytest.raises(ContractViolation):
+            _check_odd_cycle(g, [1, 2, 3, 4])
+        with pytest.raises(ContractViolation):
+            _check_odd_cycle(g, [1, 2, 4])
+        _check_odd_cycle(g, [1, 2, 3, 4, 5])
 
 
 class TestVerifyCover:

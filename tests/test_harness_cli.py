@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from helpers import complete_graph
@@ -16,7 +17,8 @@ from vcgap.harness_cli import (
     table_to_csv,
     table_to_plotdata,
 )
-from vcgap.lp_relax import build_vc_lp, simplex_solve
+from vcgap.lp_relax import HalfIntegralityViolation, build_vc_lp, simplex_solve
+from vcgap.sdp_solve import GramSolution
 
 
 class TestGenerateGraph:
@@ -215,6 +217,29 @@ class TestCliMain:
         dimacs.write_text(write_dimacs(complete_graph(3)))
         assert main(["solve", str(dimacs)]) == 2
         capsys.readouterr()
+
+    def test_extraction_error_exit_2(self, tmp_path, capsys):
+        # A saved Gram that claims convergence but is far from PSD cannot be
+        # factored into unit vectors.
+        g = complete_graph(2)
+        gram = GramSolution(np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -1.0], [0.9, -1.0, -1.0]]), 0.0, 0.0, 0.0, -1.0, 1, True)
+        doc = {"graph": json.loads(g.to_json()), "doubled": False, "gram": json.loads(gram.to_json())}
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(doc))
+        assert main(["probe", str(path)]) == 2
+        assert "ExtractionError" in capsys.readouterr().err
+
+    def test_half_integrality_violation_exit_2(self, tmp_path, capsys, monkeypatch):
+        from vcgap import harness_cli
+
+        def off_grid(*args, **kwargs):
+            raise HalfIntegralityViolation([(0, 0.3)])
+
+        monkeypatch.setattr(harness_cli, "mahdis_run", off_grid)
+        dimacs = tmp_path / "k3.dimacs"
+        dimacs.write_text(write_dimacs(complete_graph(3)))
+        assert main(["solve", str(dimacs)]) == 2
+        assert "HalfIntegralityViolation" in capsys.readouterr().err
 
     def test_config_via_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"

@@ -14,7 +14,6 @@ from vcgap.sdp_solve import (
     check_lemma2_bounds,
     extract_vectors,
     gram_from_json,
-    jacobi_eigh,
     psd_project,
 )
 
@@ -95,12 +94,6 @@ class TestAdmmSolve:
         gs = admm_solve(build_sdp_single(Graph.build([], [])), FAST)
         assert gs.converged and gs.objective_value == 0.0
 
-    def test_jacobi_backend_agrees(self):
-        lap = admm_solve(build_sdp_single(complete_graph(3)), FAST)
-        jac = admm_solve(build_sdp_single(complete_graph(3)), SolverConfig(eig_method="jacobi"))
-        assert jac.converged
-        assert jac.objective_value == pytest.approx(lap.objective_value, abs=1e-4)
-
     def test_relaxation_soundness_small_corpus(self):
         rng = np.random.default_rng(61)
         for _ in range(8):
@@ -134,28 +127,6 @@ class TestEigensolvers:
         mat = np.diag([2.0, -3.0])
         proj = psd_project(mat)
         assert np.allclose(proj, np.diag([2.0, 0.0]))
-
-    def test_jacobi_reconstruction_50x50(self):
-        rng = np.random.default_rng(7)
-        a = rng.normal(size=(50, 50))
-        a = (a + a.T) / 2.0
-        w, q = jacobi_eigh(a)
-        assert np.linalg.norm((q * w) @ q.T - a) <= 1e-9
-        assert np.max(np.abs(q.T @ q - np.eye(50))) <= 1e-12
-
-    def test_jacobi_eigenvalues_match_charpoly_3x3(self):
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            a = rng.normal(size=(3, 3))
-            a = (a + a.T) / 2.0
-            w, _ = jacobi_eigh(a)
-            coeffs = np.poly(a)
-            assert np.max(np.abs(np.polyval(coeffs, w))) <= 1e-9
-            assert np.all(np.diff(w) >= 0)
-
-    def test_jacobi_rejects_asymmetric(self):
-        with pytest.raises(ArgumentError):
-            jacobi_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestExtractVectors:
