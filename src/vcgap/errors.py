@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types and the argument checks that raise them."""
+
+import math
+import numbers
 
 
 class VcgapError(Exception):
@@ -23,3 +26,23 @@ class ContractViolation(VcgapError, RuntimeError):
 
 class SolverError(VcgapError, RuntimeError):
     """Numeric breakdown inside a solver; message carries iteration diagnostics."""
+
+
+def is_int(value) -> bool:
+    """An integer that is not a bool (JSON true/false must not pass as 1/0)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
+    """Raise ArgumentError unless `value` is a finite non-bool number strictly
+    inside (low, high)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ArgumentError(f"{name} must be a finite number, got {value!r}")
+    if not low < value < high:
+        raise ArgumentError(f"{name} must lie in ({low:g}, {high:g}), got {value!r}")
+
+
+def check_int(name: str, value, low: int = 1) -> None:
+    """Raise ArgumentError unless `value` is a non-bool integer >= low."""
+    if not is_int(value) or value < low:
+        raise ArgumentError(f"{name} must be an integer >= {low}, got {value!r}")

@@ -122,44 +122,3 @@ def exact_vc_enumerate(g: Graph, limit_n: int = 22) -> ExactResult:
             if ok:
                 return ExactResult(STATUS_OPTIMAL, size, partition, 0)
     raise AssertionError("unreachable: the full vertex set always covers")
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Relaxation values against the exact optimum."""
-
-    z_lp: float
-    z_sdp: float
-    z_exact: int
-    gap_lp: float
-    gap_sdp: float
-
-    def to_dict(self) -> dict:
-        return {
-            "z_lp": self.z_lp,
-            "z_sdp": self.z_sdp,
-            "z_exact": self.z_exact,
-            "gap_lp": self.gap_lp,
-            "gap_sdp": self.gap_sdp,
-        }
-
-
-def lp_gap_report(g: Graph, budget: int = 1_000_000, sdp_cfg=None) -> GapReport:
-    """Solve the relaxations and the exact problem, report integrality gaps.
-
-    Gaps for edgeless graphs (all values zero) are defined as 1.0.
-    """
-    from .lp_relax import build_vc_lp, simplex_solve
-    from .sdp_solve import SolverConfig, admm_solve, build_sdp_single
-
-    lp = simplex_solve(build_vc_lp(g))
-    sdp = admm_solve(build_sdp_single(g), sdp_cfg or SolverConfig())
-    exact = exact_vc(g, budget)
-    if exact.status != STATUS_OPTIMAL:
-        raise ArgumentError(f"oracle exhausted its budget on n={g.n}; raise the budget")
-    z_lp = lp.objective_value
-    z_sdp = sdp.objective_value
-    # relaxation values below solver noise count as zero
-    gap_lp = exact.size / z_lp if z_lp > 1e-6 else 1.0
-    gap_sdp = exact.size / z_sdp if z_sdp > 1e-6 else 1.0
-    return GapReport(z_lp, z_sdp, exact.size, gap_lp, gap_sdp)

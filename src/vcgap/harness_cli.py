@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, ContractViolation, ParseError, SolverError
+from .errors import ArgumentError, ContractViolation, ParseError, SolverError, check_int
 from .exact_oracle import STATUS_OPTIMAL, exact_vc
 from .graph_core import Graph, duplicate_join, graph_from_json, induced_subgraph, parse_dimacs, write_dimacs
 from .lp_relax import HalfIntegralityViolation
-from .pipeline import PipelineConfig, RunTrace, evaluate_ratio, mahdis_run, two_approx_baseline
+from .pipeline import PipelineConfig, RunTrace, config_from_dict, evaluate_ratio, mahdis_run, two_approx_baseline
 from .rounding_geometry import Thresholds, build_epsilon_subgraph, classify_property1, odd_cycle_probe
 from .sdp_solve import (
     ExtractionError,
@@ -37,6 +37,10 @@ from .sdp_solve import (
 )
 
 _MODEL_CODES = {"gnp": 1, "bipartite_gnp": 2, "odd_cycle_rich": 3, "star_union": 4}
+
+BATCH_KEYS = frozenset({"corpus", "pipeline", "oracle_max_n", "jobs"})
+GENERATED_ENTRY_KEYS = frozenset({"model", "n", "parameter", "seed", "count"})
+FILE_ENTRY_KEYS = frozenset({"file", "id"})
 
 CSV_COLUMNS = (
     "instance_id",
@@ -109,14 +113,12 @@ def _instance_graph(spec: dict) -> tuple[str, Graph]:
         g = parse_dimacs(path.read_text())
         return spec.get("id", path.stem), g
     g = generate_graph(spec["model"], int(spec["n"]), float(spec["parameter"]), int(spec["seed"]))
-    default_id = f'{spec["model"]}-n{spec["n"]}-p{spec["parameter"]:g}-s{spec["seed"]}'
-    return spec.get("id", default_id), g
+    return f'{spec["model"]}-n{spec["n"]}-p{spec["parameter"]:g}-s{spec["seed"]}', g
 
 
-def run_instance(spec: dict, cfg_doc: dict, oracle_max_n: int = 32) -> dict:
+def run_instance(spec: dict, cfg: PipelineConfig = PipelineConfig(), oracle_max_n: int = 32) -> dict:
     """Full single-instance experiment: pipeline, oracle, baseline, and the
     single-graph relaxation of the working graph for the doubled-value bracket."""
-    cfg = PipelineConfig.from_dict(cfg_doc)
     instance_id, g = _instance_graph(spec)
     trace = mahdis_run(g, cfg)
     oracle = exact_vc(g, cfg.oracle_budget) if g.n <= oracle_max_n else None
@@ -150,9 +152,9 @@ def run_instance(spec: dict, cfg_doc: dict, oracle_max_n: int = 32) -> dict:
 
 
 def _worker(args: tuple) -> dict:
-    spec, cfg_doc, oracle_max_n = args
+    spec, cfg, oracle_max_n = args
     try:
-        return run_instance(spec, cfg_doc, oracle_max_n)
+        return run_instance(spec, cfg, oracle_max_n)
     except Exception as exc:  # recorded per instance; the batch continues
         return {
             "instance_id": spec.get("id", repr(spec)),
@@ -161,11 +163,25 @@ def _worker(args: tuple) -> dict:
 
 
 def expand_corpus(corpus: list[dict]) -> list[dict]:
+    """One spec per instance: file entries pass through, generated entries
+    expand `count` consecutive seeds. Entries with keys outside their kind's
+    allowed set, or generated entries missing one, raise ArgumentError."""
+    if not isinstance(corpus, list):
+        raise ArgumentError(f"corpus must be a JSON array, got {corpus!r}")
     specs = []
     for entry in corpus:
+        if not isinstance(entry, dict):
+            raise ArgumentError(f"corpus entry must be a JSON object, got {entry!r}")
+        allowed = FILE_ENTRY_KEYS if "file" in entry else GENERATED_ENTRY_KEYS
+        unknown = sorted(set(entry) - allowed)
+        if unknown:
+            raise ArgumentError(f"unknown corpus entry key {unknown[0]!r} in {entry!r}; expected {sorted(allowed)}")
         if "file" in entry:
             specs.append(dict(entry))
             continue
+        missing = sorted({"model", "n", "parameter"} - set(entry))
+        if missing:
+            raise ArgumentError(f"corpus entry {entry!r} lacks key {missing[0]!r}")
         count = int(entry.get("count", 1))
         seed0 = int(entry.get("seed", 0))
         for k in range(count):
@@ -176,11 +192,20 @@ def expand_corpus(corpus: list[dict]) -> list[dict]:
 
 
 def run_batch(batch_doc: dict, jobs: int = 1) -> dict:
-    """Run every corpus instance, merge rows by instance id, aggregate findings."""
-    cfg_doc = batch_doc.get("pipeline", {})
-    oracle_max_n = int(batch_doc.get("oracle_max_n", 32))
+    """Run every corpus instance, merge rows by instance id, aggregate findings.
+
+    The spec is validated before any worker starts: unknown keys and a bad
+    pipeline config raise ArgumentError instead of failing every row."""
+    if not isinstance(batch_doc, dict):
+        raise ArgumentError(f"batch spec must be a JSON object, got {batch_doc!r}")
+    unknown = sorted(set(batch_doc) - BATCH_KEYS)
+    if unknown:
+        raise ArgumentError(f"unknown batch spec key {unknown[0]!r}; expected one of {sorted(BATCH_KEYS)}")
+    cfg = config_from_dict(PipelineConfig, batch_doc.get("pipeline", {}), "pipeline.")
+    oracle_max_n = batch_doc.get("oracle_max_n", 32)
+    check_int("oracle_max_n", oracle_max_n, low=0)
     specs = expand_corpus(batch_doc.get("corpus", []))
-    args = [(spec, cfg_doc, oracle_max_n) for spec in specs]
+    args = [(spec, cfg, oracle_max_n) for spec in specs]
     if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_worker, args))
@@ -324,11 +349,15 @@ def emit_report(table: dict, fmt: str, out_dir: str | Path) -> list[Path]:
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        path = os.environ.get("VCGAP_CONFIG")
-    if path is None:
-        return {}
-    return json.loads(Path(path).read_text())
+    path = path or os.environ.get("VCGAP_CONFIG")
+    return json.loads(Path(path).read_text()) if path else {}
+
+
+def _read_object(path: str, what: str) -> dict:
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ArgumentError(f"{what} {path} must be a JSON object, got {doc!r}")
+    return doc
 
 
 def _print_summary(instance_id: str, trace: RunTrace) -> None:
@@ -351,36 +380,38 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config path (or set VCGAP_CONFIG)")
-    common.add_argument("--out", help="output directory for reports and traces")
-    common.add_argument("--format", choices=["json", "csv", "plotdata"], default="csv")
-    common.add_argument("--jobs", type=int, default=1)
-    common.add_argument("--seed", type=int, default=0)
+    # Options follow the subcommand, and each subcommand takes only those it reads.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON config path (or set VCGAP_CONFIG)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output directory for reports and traces")
 
-    parser = _Parser(prog="vcgap", description=__doc__, parents=[common])
+    parser = _Parser(prog="vcgap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="run the pipeline on a DIMACS file")
+    p_solve = sub.add_parser("solve", parents=[config, out], help="run the pipeline on a DIMACS file")
     p_solve.add_argument("path")
     p_solve.add_argument("--no-exact", action="store_true", help="skip the oracle")
     p_solve.add_argument("--dump-gram", help="write the doubled Gram solution here")
 
-    p_exact = sub.add_parser("exact", parents=[common], help="exact minimum cover of a DIMACS file")
+    p_exact = sub.add_parser("exact", parents=[config], help="exact minimum cover of a DIMACS file")
     p_exact.add_argument("path")
 
-    p_base = sub.add_parser("baseline", parents=[common], help="matching 2-approximation of a DIMACS file")
+    p_base = sub.add_parser("baseline", help="matching 2-approximation of a DIMACS file")
     p_base.add_argument("path")
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate an instance as DIMACS")
+    p_gen = sub.add_parser("gen", parents=[out], help="generate an instance as DIMACS")
     p_gen.add_argument("--model", required=True, choices=sorted(_MODEL_CODES))
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--parameter", type=float, required=True)
+    p_gen.add_argument("--seed", type=int, default=0)
 
-    p_batch = sub.add_parser("batch", parents=[common], help="run a corpus described by a JSON file")
+    p_batch = sub.add_parser("batch", parents=[config, out], help="run a corpus described by a JSON file")
     p_batch.add_argument("spec", help="batch spec JSON with corpus and pipeline settings")
+    p_batch.add_argument("--format", choices=["json", "csv", "plotdata"], default="csv")
+    p_batch.add_argument("--jobs", type=int, default=1)
 
-    p_probe = sub.add_parser("probe", parents=[common], help="geometry probes on a saved Gram solution")
+    p_probe = sub.add_parser("probe", parents=[config, out], help="geometry probes on a saved Gram solution")
     p_probe.add_argument("path", help='JSON: {"graph": {...}, "doubled": bool, "gram": {...}}')
     return parser
 
@@ -405,9 +436,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    cfg_doc = _load_config(args.config)
-    cfg = PipelineConfig.from_dict(cfg_doc)
-
     if args.command == "gen":
         g = generate_graph(args.model, args.n, args.parameter, args.seed)
         text = write_dimacs(g)
@@ -421,11 +449,17 @@ def _dispatch(args) -> int:
             sys.stdout.write(text)
         return 0
 
+    if args.command == "baseline":
+        g = parse_dimacs(Path(args.path).read_text())
+        _print_summary(Path(args.path).stem, two_approx_baseline(g))
+        return 0
+
+    cfg_doc = _load_config(args.config)
     if args.command == "batch":
-        batch_doc = json.loads(Path(args.spec).read_text())
-        if cfg_doc and "pipeline" not in batch_doc:
-            batch_doc["pipeline"] = cfg_doc
-        jobs = args.jobs if args.jobs > 1 else int(batch_doc.get("jobs", 1))
+        batch_doc = _read_object(args.spec, "batch spec")
+        batch_doc.setdefault("pipeline", cfg_doc)
+        jobs = args.jobs if args.jobs > 1 else batch_doc.get("jobs", 1)
+        check_int("jobs", jobs)
         table = run_batch(batch_doc, jobs)
         out_dir = args.out or "."
         paths = emit_report(table, args.format, out_dir)
@@ -440,11 +474,15 @@ def _dispatch(args) -> int:
             print(path)
         return 0
 
+    cfg = PipelineConfig.from_dict(cfg_doc)
     if args.command == "probe":
-        doc = json.loads(Path(args.path).read_text())
+        doc = _read_object(args.path, "probe document")
         base = graph_from_json(json.dumps(doc["graph"]))
         gram = gram_from_json(json.dumps(doc["gram"]))
-        thresholds = Thresholds(**doc["thresholds"]) if "thresholds" in doc else cfg.thresholds
+        if "thresholds" in doc:
+            thresholds = config_from_dict(Thresholds, doc["thresholds"], "thresholds.")
+        else:
+            thresholds = cfg.thresholds
         report = _probe_report(base, gram, bool(doc.get("doubled", False)), thresholds, cfg)
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.out:
@@ -465,10 +503,6 @@ def _dispatch(args) -> int:
             print(f"{instance_id}: unknown (budget exhausted after {result.nodes_explored} nodes)")
             return 0
         print(f"{instance_id}: optimum={result.size} cover={sorted(result.cover.in_cover)}")
-        return 0
-    if args.command == "baseline":
-        trace = two_approx_baseline(g)
-        _print_summary(instance_id, trace)
         return 0
 
     # solve

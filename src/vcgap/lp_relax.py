@@ -407,13 +407,17 @@ def nt_decompose(
     tau_lp: float = TAU_LP,
     tau_half: float = TAU_HALF,
     order: Sequence[int] | None = None,
+    z_lp: float | None = None,
 ) -> tuple[HalfIntegralDecomposition, Graph]:
-    """Kernelize: solve the relaxation, refine to an extreme optimum, classify,
-    and induce the residual graph on the half-valued vertices."""
-    sol = simplex_solve(build_vc_lp(g), tau_lp)
-    if sol.status != "optimal":
-        raise ContractViolation(f"vertex cover relaxation came back {sol.status}")
-    refined = extreme_point_refine(g, sol.objective_value, tau_lp, tau_half, order)
+    """Kernelize: solve the relaxation (unless its optimum value `z_lp` is
+    given), refine to an extreme optimum, classify, and induce the residual
+    graph on the half-valued vertices."""
+    if z_lp is None:
+        sol = simplex_solve(build_vc_lp(g), tau_lp)
+        if sol.status != "optimal":
+            raise ContractViolation(f"vertex cover relaxation came back {sol.status}")
+        z_lp = sol.objective_value
+    refined = extreme_point_refine(g, z_lp, tau_lp, tau_half, order)
     decomp = classify_half_integral(refined, tau_half)
     residual = induced_subgraph(g, decomp.v_half)
     return decomp, residual

@@ -5,11 +5,12 @@ with every decision, certificate, repair, and fallback recorded in a trace.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 from .bipartite_vc import konig_cover, max_matching, maximal_matching_cover
-from .errors import ContractViolation
+from .errors import ArgumentError, ContractViolation, check_int, check_real, is_int
 from .exact_oracle import STATUS_OPTIMAL, ExactResult
 from .graph_core import (
     Bipartition,
@@ -69,60 +70,45 @@ class PipelineConfig:
     anchor_edge: tuple[int, int] | None = None
     oracle_budget: int = 1_000_000
 
-    def to_dict(self) -> dict:
-        return {
-            "tau_lp": self.tau_lp,
-            "tau_half": self.tau_half,
-            "tau_ratio": self.tau_ratio,
-            "tau_cmp": self.tau_cmp,
-            "thresholds": self.thresholds.to_dict(),
-            "sdp": {
-                "tau_feas": self.sdp.tau_feas,
-                "tau_psd": self.sdp.tau_psd,
-                "tau_obj": self.sdp.tau_obj,
-                "max_iter": self.sdp.max_iter,
-                "step": self.sdp.step,
-                "over_relax": self.sdp.over_relax,
-                "adapt_rho": self.sdp.adapt_rho,
-                "check_every": self.sdp.check_every,
-            },
-            "probe_tol": self.probe_tol,
-            "anchor_edge": list(self.anchor_edge) if self.anchor_edge else None,
-            "oracle_budget": self.oracle_budget,
-        }
+    def __post_init__(self):
+        for name in ("tau_lp", "tau_half", "tau_ratio", "tau_cmp", "probe_tol"):
+            check_real(name, getattr(self, name), 0.0)
+        check_int("oracle_budget", self.oracle_budget)
+        edge = self.anchor_edge
+        if edge is not None and not (
+            isinstance(edge, tuple) and len(edge) == 2 and all(map(is_int, edge)) and edge[0] != edge[1]
+        ):
+            raise ArgumentError(f"anchor_edge must be null or two distinct vertex ids, got {edge!r}")
 
-    @staticmethod
-    def from_dict(doc: dict) -> "PipelineConfig":
-        base = PipelineConfig()
-        th_doc = doc.get("thresholds", {})
-        thresholds = Thresholds(
-            below_half_fraction=th_doc.get("below_half_fraction", 0.000001),
-            above_band_fraction=th_doc.get("above_band_fraction", 0.01),
-            epsilon=th_doc.get("epsilon", 0.0004),
-        )
-        sdp_doc = doc.get("sdp", {})
-        sdp = SolverConfig(
-            tau_feas=sdp_doc.get("tau_feas", SolverConfig.tau_feas),
-            tau_psd=sdp_doc.get("tau_psd", SolverConfig.tau_psd),
-            tau_obj=sdp_doc.get("tau_obj", SolverConfig.tau_obj),
-            max_iter=sdp_doc.get("max_iter", SolverConfig.max_iter),
-            step=sdp_doc.get("step", None),
-            over_relax=sdp_doc.get("over_relax", SolverConfig.over_relax),
-            adapt_rho=sdp_doc.get("adapt_rho", SolverConfig.adapt_rho),
-            check_every=sdp_doc.get("check_every", SolverConfig.check_every),
-        )
-        anchor = doc.get("anchor_edge")
-        return PipelineConfig(
-            tau_lp=doc.get("tau_lp", base.tau_lp),
-            tau_half=doc.get("tau_half", base.tau_half),
-            tau_ratio=doc.get("tau_ratio", base.tau_ratio),
-            tau_cmp=doc.get("tau_cmp", base.tau_cmp),
-            thresholds=thresholds,
-            sdp=sdp,
-            probe_tol=doc.get("probe_tol", base.probe_tol),
-            anchor_edge=tuple(anchor) if anchor else None,
-            oracle_budget=doc.get("oracle_budget", base.oracle_budget),
-        )
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc) -> "PipelineConfig":
+        return config_from_dict(cls, doc)
+
+
+def config_from_dict(cls, doc, prefix: str = ""):
+    """Build the config dataclass `cls` from a parsed JSON object.
+
+    Absent keys keep the field defaults. A field whose default is itself a
+    config dataclass is read recursively; JSON arrays become tuples. Unknown
+    keys and non-objects raise ArgumentError naming the dotted key; value
+    checks are left to the dataclasses' own constructors.
+    """
+    if not isinstance(doc, dict):
+        raise ArgumentError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, got {doc!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    kwargs = {}
+    for key, value in doc.items():
+        if key not in defaults:
+            raise ArgumentError(f"unknown config key '{prefix}{key}'; expected one of {sorted(defaults)}")
+        if is_dataclass(defaults[key]):
+            value = config_from_dict(type(defaults[key]), value, f"{prefix}{key}.")
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 DEFAULT_CONFIG = PipelineConfig()
@@ -161,37 +147,17 @@ class RunTrace:
     timings: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        import json as _json
-
-        return {
-            "schema_version": self.schema_version,
-            "graph": _json.loads(self.graph.to_json()),
-            "n": self.n,
-            "m": self.m,
-            "step_taken": self.step_taken,
-            "z_lp": self.z_lp,
-            "nt_used": self.nt_used,
-            "v_one": list(self.v_one),
-            "v_zero": list(self.v_zero),
-            "residual_n": self.residual_n,
-            "residual_m": self.residual_m,
-            "z_sdp_doubled": self.z_sdp_doubled,
-            "sdp_converged": self.sdp_converged,
-            "sdp_iterations": self.sdp_iterations,
-            "property_prime": self.property_prime,
-            "property_double_prime": self.property_double_prime,
-            "certificates": self.certificates,
-            "repairs": self.repairs,
-            "theorem6_probe": self.theorem6_probe,
-            "in_cover": list(self.in_cover),
-            "cover_size": self.cover_size,
-            "oracle_status": self.oracle_status,
-            "oracle_optimum": self.oracle_optimum,
-            "empirical_ratio": self.empirical_ratio,
-            "certificate_violated": self.certificate_violated,
-            "flags": list(self.flags),
-            "timings": self.timings,
-        }
+        """Flat JSON-ready document: the graph in its canonical form, every
+        tuple and list as a fresh list (callers append to the copied flags)."""
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Graph):
+                value = json.loads(value.to_json())
+            elif isinstance(value, (tuple, list)):
+                value = list(value)
+            doc[f.name] = value
+        return doc
 
 
 def _empty_decomposition(g: Graph) -> HalfIntegralDecomposition:
@@ -233,7 +199,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
 
     if lp.objective_value < g.n / 2.0 - cfg.tau_lp:
         t = time.perf_counter()
-        decomp, h = nt_decompose(g, cfg.tau_lp, cfg.tau_half)
+        decomp, h = nt_decompose(g, cfg.tau_lp, cfg.tau_half, z_lp=lp.objective_value)
         trace.nt_used = True
         trace.v_one = tuple(sorted(decomp.v_one))
         trace.v_zero = tuple(sorted(decomp.v_zero))

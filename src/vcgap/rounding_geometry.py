@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_real
 from .graph_core import Bipartition, CoverPartition, Graph, OddCycle, find_odd_cycle, induced_subgraph
 from .sdp_solve import TAU_NORM, VectorEmbedding
 
@@ -28,24 +28,15 @@ class Thresholds:
     below_half_fraction: float = 0.000001
     above_band_fraction: float = 0.01
     epsilon: float = 0.0004
-    band_top: float | None = None
 
     def __post_init__(self):
-        if self.band_top is None:
-            object.__setattr__(self, "band_top", 0.5 + self.epsilon)
-        elif abs(self.band_top - (0.5 + self.epsilon)) > 1e-12:
-            raise ArgumentError("band_top must equal 0.5 + epsilon")
-        for f in (self.below_half_fraction, self.above_band_fraction):
-            if not (0.0 < f < 1.0):
-                raise ArgumentError(f"fraction {f} outside (0, 1)")
+        check_real("below_half_fraction", self.below_half_fraction, 0.0, 1.0)
+        check_real("above_band_fraction", self.above_band_fraction, 0.0, 1.0)
+        check_real("epsilon", self.epsilon)
 
-    def to_dict(self) -> dict:
-        return {
-            "below_half_fraction": self.below_half_fraction,
-            "above_band_fraction": self.above_band_fraction,
-            "epsilon": self.epsilon,
-            "band_top": self.band_top,
-        }
+    @property
+    def band_top(self) -> float:
+        return 0.5 + self.epsilon
 
 
 PAPER_THRESHOLDS = Thresholds()

@@ -22,11 +22,10 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, get_lapack_funcs
 
-from .errors import ArgumentError, SolverError, VcgapError
+from .errors import ArgumentError, SolverError, VcgapError, check_int, check_real
 from .graph_core import DoubledGraph, Graph
 
 TAU_FEAS = 1e-5
-TAU_PSD = 1e-7
 TAU_FACTOR = 1e-4
 TAU_CMP = 1e-3
 TAU_NORM = 1e-6
@@ -59,13 +58,23 @@ class SdpProblem:
 @dataclass(frozen=True)
 class SolverConfig:
     tau_feas: float = TAU_FEAS
-    tau_psd: float = TAU_PSD
     tau_obj: float = 1e-6
     max_iter: int = 50000
     step: float | None = None  # initial ADMM penalty; None picks a scale-based default
     over_relax: float = 1.8
     adapt_rho: bool = True
     check_every: int = 25
+
+    def __post_init__(self):
+        check_real("tau_feas", self.tau_feas, 0.0)
+        check_real("tau_obj", self.tau_obj, 0.0)
+        check_int("max_iter", self.max_iter)
+        check_int("check_every", self.check_every)
+        if self.step is not None:
+            check_real("step", self.step, 0.0)
+        check_real("over_relax", self.over_relax, 0.0, 2.0)
+        if not isinstance(self.adapt_rho, bool):
+            raise ArgumentError(f"adapt_rho must be true or false, got {self.adapt_rho!r}")
 
 
 @dataclass

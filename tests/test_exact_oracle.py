@@ -8,10 +8,8 @@ from vcgap.exact_oracle import (
     STATUS_UNKNOWN,
     exact_vc,
     exact_vc_enumerate,
-    lp_gap_report,
 )
 from vcgap.graph_core import Graph, verify_cover
-from vcgap.harness_cli import generate_graph
 
 
 class TestExactVc:
@@ -53,27 +51,3 @@ class TestExactVc:
     def test_enumeration_rejects_large(self):
         with pytest.raises(ArgumentError):
             exact_vc_enumerate(random_gnp(40, 0.1, seed=1))
-
-
-class TestGapReport:
-    def test_k3_gap(self):
-        report = lp_gap_report(complete_graph(3))
-        assert report.z_lp == pytest.approx(1.5)
-        assert report.z_exact == 2
-        assert report.gap_lp == pytest.approx(4.0 / 3.0)
-        assert report.z_sdp == pytest.approx(1.5, abs=1e-3)
-
-    def test_k2_gap_one(self):
-        report = lp_gap_report(complete_graph(2))
-        assert report.gap_lp == pytest.approx(1.0)
-
-    def test_bipartite_gap_is_one(self):
-        rng = np.random.default_rng(103)
-        for _ in range(8):
-            g = generate_graph("bipartite_gnp", int(rng.integers(2, 12)), 0.5, seed=int(rng.integers(1 << 30)))
-            report = lp_gap_report(g)
-            assert report.gap_lp == pytest.approx(1.0, abs=1e-7)
-
-    def test_edgeless_defines_gap_one(self):
-        report = lp_gap_report(Graph.build(range(3), []))
-        assert report.gap_lp == 1.0 and report.gap_sdp == 1.0

@@ -67,6 +67,31 @@ class TestExpandCorpus:
         assert specs == [{"file": "x.dimacs"}]
 
 
+GEN_ENTRY = {"model": "gnp", "n": 6, "parameter": 0.4, "seed": 1}
+BAD_BATCHES = {
+    "pipeline-unknown-key": ({"corpus": [GEN_ENTRY], "pipeline": {"sdp": {"max_iters": 10}}}, "pipeline.sdp.max_iters"),
+    "pipeline-bad-value": ({"corpus": [GEN_ENTRY], "pipeline": {"sdp": {"check_every": 0}}}, "check_every"),
+    "unknown-top-key": ({"corpus": [GEN_ENTRY], "jobz": 2}, "jobz"),
+    "id-on-generated-entry": ({"corpus": [dict(GEN_ENTRY, id="mine")]}, "id"),
+    "model-on-file-entry": ({"corpus": [{"file": "x.dimacs", "model": "gnp"}]}, "model"),
+    "generated-entry-lacks-n": ({"corpus": [{"model": "gnp", "parameter": 0.4}]}, "n"),
+    "corpus-not-array": ({"corpus": {"model": "gnp"}}, "corpus"),
+    "non-object": ([GEN_ENTRY], "batch spec"),
+}
+
+
+class TestBatchSpecValidation:
+    @pytest.mark.parametrize("doc,key", list(BAD_BATCHES.values()), ids=list(BAD_BATCHES))
+    def test_rejected_before_any_instance_runs(self, doc, key, tmp_path, capsys):
+        with pytest.raises(ArgumentError, match=key):
+            run_batch(doc)
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["batch", str(spec), "--out", str(tmp_path / "out")]) == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunBatch:
     BATCH = {
         "corpus": [
@@ -148,14 +173,14 @@ class TestReports:
 
 class TestRunInstance:
     def test_lemma2_attached_when_sdp_ran(self):
-        row = run_instance({"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11}, {})
+        row = run_instance({"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11})
         assert row["trace"]["z_sdp_doubled"] is not None
         assert row["z_sdp_single"] is not None
         assert row["lemma2"] is not None
         assert row["lemma2"]["consistent"]
 
     def test_oracle_skipped_above_limit(self):
-        row = run_instance({"model": "gnp", "n": 8, "parameter": 0.3, "seed": 1}, {}, oracle_max_n=4)
+        row = run_instance({"model": "gnp", "n": 8, "parameter": 0.3, "seed": 1}, oracle_max_n=4)
         assert row["trace"]["empirical_ratio"] is None
         assert "oracle_unknown" in row["trace"]["flags"]
 
@@ -195,6 +220,17 @@ class TestCliMain:
         assert main(["solve"]) == 1
         capsys.readouterr()
 
+    def test_option_outside_its_subcommand_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sdp": {"max_iter": 40}}))
+        dimacs = tmp_path / "k3.dimacs"
+        dimacs.write_text(write_dimacs(complete_graph(3)))
+        assert main(["--config", str(cfg), "solve", str(dimacs)]) == 1
+        assert main(["baseline", str(dimacs), "--config", str(cfg)]) == 1
+        assert main(["gen", "--model", "gnp", "--n", "4", "--parameter", "0.5", "--jobs", "2"]) == 1
+        assert main(["solve", str(dimacs), "--seed", "3"]) == 1
+        assert capsys.readouterr().out == ""
+
     def test_missing_file_exit_3(self, capsys):
         assert main(["solve", "/nonexistent/file.dimacs"]) == 3
         capsys.readouterr()
@@ -228,6 +264,19 @@ class TestCliMain:
         path.write_text(json.dumps(doc))
         assert main(["probe", str(path)]) == 2
         assert "ExtractionError" in capsys.readouterr().err
+
+    def test_probe_rejects_unknown_threshold_key(self, tmp_path, capsys):
+        g = complete_graph(2)
+        gram = GramSolution(np.eye(3), 0.0, 0.0, 0.0, 1.0, 1, True)
+        doc = {
+            "graph": json.loads(g.to_json()),
+            "gram": json.loads(gram.to_json()),
+            "thresholds": {"epsilon": 0.01, "band_top": 0.51},
+        }
+        path = tmp_path / "gram.json"
+        path.write_text(json.dumps(doc))
+        assert main(["probe", str(path)]) == 1
+        assert "thresholds.band_top" in capsys.readouterr().err
 
     def test_half_integrality_violation_exit_2(self, tmp_path, capsys, monkeypatch):
         from vcgap import harness_cli

@@ -205,6 +205,16 @@ class TestNtDecompose:
             d, residual = nt_decompose(g)
             assert exact_vc(g).size == len(d.v_one) + exact_vc(residual).size
 
+    def test_given_relaxation_value_gives_same_kernel(self):
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            g = random_gnp(int(rng.integers(2, 14)), 0.3, seed=int(rng.integers(1 << 30)))
+            z = simplex_solve(build_vc_lp(g)).objective_value
+            d, residual = nt_decompose(g)
+            d_given, residual_given = nt_decompose(g, z_lp=z)
+            assert d_given == d
+            assert (residual_given.vertices, residual_given.edges) == (residual.vertices, residual.edges)
+
     def test_residual_lp_value_is_half_n(self):
         rng = np.random.default_rng(43)
         for _ in range(20):

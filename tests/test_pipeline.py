@@ -1,9 +1,15 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 
 from helpers import complete_graph, cycle_graph, random_gnp, star_graph
+from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import ExactResult, exact_vc
-from vcgap.graph_core import CoverPartition, Graph, duplicate_join, verify_cover
+from vcgap.graph_core import CoverPartition, Graph, duplicate_join, verify_cover, write_dimacs
+from vcgap.harness_cli import main
 from vcgap.pipeline import (
     STEP_ARBITRARY_PRIME,
     STEP_BASELINE,
@@ -133,6 +139,9 @@ class TestMahdisRun:
         assert again == doc
         assert doc["schema_version"] == "1"
         assert doc["graph"]["n"] == 3
+        assert isinstance(doc["in_cover"], list)
+        doc["flags"].append("added_by_caller")
+        assert "added_by_caller" not in trace.flags
 
 
 class TestCutRepair:
@@ -196,3 +205,92 @@ class TestBaseline:
         trace = two_approx_baseline(graph)
         assert trace.step_taken == STEP_BASELINE
         assert trace.cover_size == size
+
+
+def _leaves(doc: dict, prefix: str = "") -> dict:
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+NON_DEFAULT_CONFIG = PipelineConfig(
+    tau_lp=1e-8,
+    tau_half=1e-5,
+    tau_ratio=1e-8,
+    tau_cmp=1e-2,
+    thresholds=Thresholds(below_half_fraction=0.001, above_band_fraction=0.02, epsilon=0.001),
+    sdp=SolverConfig(
+        tau_feas=1e-4, tau_obj=1e-5, max_iter=100, step=0.5, over_relax=1.5, adapt_rho=False, check_every=5
+    ),
+    probe_tol=0.01,
+    anchor_edge=(0, 1),
+    oracle_budget=10,
+)
+
+BAD_CONFIGS = {
+    "unknown-top": ({"tau_lpp": 1e-7}, "tau_lpp"),
+    "unknown-thresholds": ({"thresholds": {"epsilom": 0.1}}, "thresholds.epsilom"),
+    "unknown-sdp": ({"sdp": {"max_iters": 10}}, "sdp.max_iters"),
+    "band_top": ({"thresholds": {"band_top": 0.5004}}, "thresholds.band_top"),
+    "tau_psd": ({"sdp": {"tau_psd": 1e-7}}, "sdp.tau_psd"),
+    "nan": ({"sdp": {"step": math.nan}}, "step"),
+    "inf": ({"tau_cmp": math.inf}, "tau_cmp"),
+    "wrong-type": ({"sdp": {"max_iter": "100"}}, "max_iter"),
+    "bool-for-int": ({"oracle_budget": True}, "oracle_budget"),
+    "check_every-0": ({"sdp": {"check_every": 0}}, "check_every"),
+    "over_relax-2": ({"sdp": {"over_relax": 2}}, "over_relax"),
+    "step-0": ({"sdp": {"step": 0}}, "step"),
+    "step-negative": ({"sdp": {"step": -1.0}}, "step"),
+    "anchor-loop": ({"anchor_edge": [1, 1]}, "anchor_edge"),
+    "non-object": ([1, 2], "config"),
+    "non-object-nested": ({"thresholds": 5}, "thresholds"),
+}
+
+
+class TestPipelineConfig:
+    def test_non_default_config_sets_every_value(self):
+        default = _leaves(PipelineConfig().to_dict())
+        changed = _leaves(NON_DEFAULT_CONFIG.to_dict())
+        assert len(default) == 17
+        assert [k for k in default if default[k] == changed[k]] == []
+
+    @pytest.mark.parametrize("cfg", [PipelineConfig(), NON_DEFAULT_CONFIG], ids=["default", "non-default"])
+    def test_dict_roundtrip(self, cfg):
+        assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
+        assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_absent_keys_keep_defaults(self):
+        cfg = PipelineConfig.from_dict({"sdp": {"max_iter": 40}})
+        assert cfg.sdp == SolverConfig(max_iter=40)
+        assert cfg.thresholds == Thresholds()
+
+    @pytest.mark.parametrize("doc,key", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
+    def test_bad_config_rejected(self, doc, key, tmp_path, capsys):
+        with pytest.raises(ArgumentError, match=re.escape(key)):
+            PipelineConfig.from_dict(doc)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        dimacs = tmp_path / "k3.dimacs"
+        dimacs.write_text(write_dimacs(complete_graph(3)))
+        assert main(["solve", str(dimacs), "--no-exact", "--config", str(cfg)]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: SolverConfig(step=math.nan),
+            lambda: SolverConfig(over_relax=0.0),
+            lambda: SolverConfig(max_iter=10.0),
+            lambda: SolverConfig(adapt_rho=1),
+            lambda: Thresholds(epsilon=math.inf),
+            lambda: PipelineConfig(tau_half=0.0),
+            lambda: PipelineConfig(anchor_edge=[0, 1]),
+        ],
+    )
+    def test_constructors_reject_what_parsing_rejects(self, make):
+        with pytest.raises(ArgumentError):
+            make()

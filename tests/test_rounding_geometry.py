@@ -43,7 +43,8 @@ class TestThresholds:
         assert th.band_top == pytest.approx(0.5004, abs=0)
 
     def test_band_top_must_match_epsilon(self):
-        with pytest.raises(ArgumentError):
+        assert Thresholds(epsilon=0.1).band_top == 0.6
+        with pytest.raises(TypeError):
             Thresholds(epsilon=0.0004, band_top=0.6)
 
     def test_fraction_range(self):
