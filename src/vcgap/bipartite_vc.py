@@ -21,9 +21,6 @@ class Matching:
     def size(self) -> int:
         return len(self.edges)
 
-    def matched_vertices(self) -> frozenset[int]:
-        return frozenset(v for e in self.edges for v in e)
-
 
 def _check_parts(g: Graph, parts: Bipartition) -> None:
     if parts.left & parts.right:

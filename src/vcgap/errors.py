@@ -46,3 +46,18 @@ def check_int(name: str, value, low: int = 1) -> None:
     """Raise ArgumentError unless `value` is a non-bool integer >= low."""
     if not is_int(value) or value < low:
         raise ArgumentError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_keys(what: str, doc, required, optional=()) -> None:
+    """Raise ArgumentError, naming the first offending key, unless `doc` is a
+    JSON object with every key of `required` and none outside `required`
+    and `optional`."""
+    if not isinstance(doc, dict):
+        raise ArgumentError(f"{what} must be a JSON object, got {doc!r}")
+    allowed = set(required) | set(optional)
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise ArgumentError(f"unknown {what} key {unknown[0]!r}; expected one of {sorted(allowed)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ArgumentError(f"{what} lacks key {missing[0]!r}")

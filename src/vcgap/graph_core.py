@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ArgumentError, ContractViolation, ParseError
+from .errors import ArgumentError, ContractViolation, ParseError, check_int, check_keys, is_int
 
 PRIME = "prime"
 DOUBLE_PRIME = "double_prime"
@@ -58,12 +58,6 @@ class Graph:
         adjacency = {v: tuple(sorted(ns)) for v, ns in adj.items()}
         return Graph(verts, edge_tuple, adjacency)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self.adjacency
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def to_json(self) -> str:
         """Canonical JSON form: vertices relabeled 0..n-1 in sorted id order."""
         pos = {v: i for i, v in enumerate(self.vertices)}
@@ -71,10 +65,16 @@ class Graph:
 
 
 def graph_from_json(text: str) -> Graph:
-    """Inverse of Graph.to_json; vertices are 0..n-1."""
+    """Inverse of Graph.to_json; vertices are 0..n-1. Raises ArgumentError
+    naming the key unless the document is {"n": int, "edges": [[u, v], ...]}."""
     doc = json.loads(text)
-    n = int(doc["n"])
-    return Graph.build(range(n), [(int(u), int(v)) for u, v in doc["edges"]])
+    check_keys("graph", doc, ("n", "edges"))
+    check_int("graph.n", doc["n"], low=0)
+    edges = doc["edges"]
+    pairs = isinstance(edges, list) and all(isinstance(e, list) and len(e) == 2 and all(map(is_int, e)) for e in edges)
+    if not pairs:
+        raise ArgumentError(f"graph.edges must be a list of [u, v] vertex pairs, got {edges!r}")
+    return Graph.build(range(doc["n"]), map(tuple, edges))
 
 
 @dataclass(frozen=True)

@@ -20,16 +20,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArgumentError, ContractViolation, ParseError, SolverError, check_int
+from .errors import (
+    ArgumentError,
+    ContractViolation,
+    ParseError,
+    SolverError,
+    check_int,
+    check_keys,
+    check_real,
+    is_int,
+)
 from .exact_oracle import STATUS_OPTIMAL, exact_vc
-from .graph_core import Graph, duplicate_join, graph_from_json, induced_subgraph, parse_dimacs, write_dimacs
+from .graph_core import Graph, duplicate_join, graph_from_json, parse_dimacs, write_dimacs
 from .lp_relax import HalfIntegralityViolation
-from .pipeline import PipelineConfig, RunTrace, config_from_dict, evaluate_ratio, mahdis_run, two_approx_baseline
-from .rounding_geometry import Thresholds, build_epsilon_subgraph, classify_property1, odd_cycle_probe
+from .pipeline import (
+    PipelineConfig,
+    RunTrace,
+    analyze_doubled,
+    config_from_dict,
+    evaluate_ratio,
+    mahdis_run,
+    two_approx_baseline,
+)
+from .rounding_geometry import Thresholds, build_epsilon_subgraph, classify_property1
 from .sdp_solve import (
     ExtractionError,
     admm_solve,
-    build_sdp_doubled,
     build_sdp_single,
     check_lemma2_bounds,
     extract_vectors,
@@ -38,9 +54,7 @@ from .sdp_solve import (
 
 _MODEL_CODES = {"gnp": 1, "bipartite_gnp": 2, "odd_cycle_rich": 3, "star_union": 4}
 
-BATCH_KEYS = frozenset({"corpus", "pipeline", "oracle_max_n", "jobs"})
-GENERATED_ENTRY_KEYS = frozenset({"model", "n", "parameter", "seed", "count"})
-FILE_ENTRY_KEYS = frozenset({"file", "id"})
+BATCH_KEYS = ("corpus", "pipeline", "oracle_max_n", "jobs")
 
 CSV_COLUMNS = (
     "instance_id",
@@ -133,8 +147,7 @@ def run_instance(spec: dict, cfg: PipelineConfig = PipelineConfig(), oracle_max_
         "lemma2": None,
     }
     if trace.z_sdp_doubled is not None:
-        v_half = sorted(set(g.vertices) - set(trace.v_one) - set(trace.v_zero))
-        residual = induced_subgraph(g, v_half)
+        residual = trace.residual
         single = admm_solve(build_sdp_single(residual), cfg.sdp)
         row["z_sdp_single"] = single.objective_value if single.converged else None
         if not single.converged:
@@ -164,26 +177,23 @@ def _worker(args: tuple) -> dict:
 
 def expand_corpus(corpus: list[dict]) -> list[dict]:
     """One spec per instance: file entries pass through, generated entries
-    expand `count` consecutive seeds. Entries with keys outside their kind's
-    allowed set, or generated entries missing one, raise ArgumentError."""
+    expand `count` consecutive seeds. Unknown or missing keys, non-integer
+    `n`, `seed` or `count` and a non-finite `parameter` raise ArgumentError."""
     if not isinstance(corpus, list):
         raise ArgumentError(f"corpus must be a JSON array, got {corpus!r}")
     specs = []
     for entry in corpus:
-        if not isinstance(entry, dict):
-            raise ArgumentError(f"corpus entry must be a JSON object, got {entry!r}")
-        allowed = FILE_ENTRY_KEYS if "file" in entry else GENERATED_ENTRY_KEYS
-        unknown = sorted(set(entry) - allowed)
-        if unknown:
-            raise ArgumentError(f"unknown corpus entry key {unknown[0]!r} in {entry!r}; expected {sorted(allowed)}")
-        if "file" in entry:
+        if isinstance(entry, dict) and "file" in entry:
+            check_keys("corpus entry", entry, ("file",), ("id",))
             specs.append(dict(entry))
             continue
-        missing = sorted({"model", "n", "parameter"} - set(entry))
-        if missing:
-            raise ArgumentError(f"corpus entry {entry!r} lacks key {missing[0]!r}")
-        count = int(entry.get("count", 1))
-        seed0 = int(entry.get("seed", 0))
+        check_keys("corpus entry", entry, ("model", "n", "parameter"), ("seed", "count"))
+        seed0, count = entry.get("seed", 0), entry.get("count", 1)
+        check_int("n", entry["n"], low=0)
+        check_int("count", count, low=0)
+        check_real("parameter", entry["parameter"])
+        if not is_int(seed0):
+            raise ArgumentError(f"seed must be an integer, got {seed0!r}")
         for k in range(count):
             spec = {key: entry[key] for key in ("model", "n", "parameter")}
             spec["seed"] = seed0 + k
@@ -196,11 +206,7 @@ def run_batch(batch_doc: dict, jobs: int = 1) -> dict:
 
     The spec is validated before any worker starts: unknown keys and a bad
     pipeline config raise ArgumentError instead of failing every row."""
-    if not isinstance(batch_doc, dict):
-        raise ArgumentError(f"batch spec must be a JSON object, got {batch_doc!r}")
-    unknown = sorted(set(batch_doc) - BATCH_KEYS)
-    if unknown:
-        raise ArgumentError(f"unknown batch spec key {unknown[0]!r}; expected one of {sorted(BATCH_KEYS)}")
+    check_keys("batch spec", batch_doc, (), BATCH_KEYS)
     cfg = config_from_dict(PipelineConfig, batch_doc.get("pipeline", {}), "pipeline.")
     oracle_max_n = batch_doc.get("oracle_max_n", 32)
     check_int("oracle_max_n", oracle_max_n, low=0)
@@ -476,14 +482,21 @@ def _dispatch(args) -> int:
 
     cfg = PipelineConfig.from_dict(cfg_doc)
     if args.command == "probe":
-        doc = _read_object(args.path, "probe document")
+        doc = json.loads(Path(args.path).read_text())
+        check_keys("probe document", doc, ("graph", "gram"), ("doubled", "thresholds"))
         base = graph_from_json(json.dumps(doc["graph"]))
         gram = gram_from_json(json.dumps(doc["gram"]))
+        doubled = doc.get("doubled", False)
+        if not isinstance(doubled, bool):
+            raise ArgumentError(f"doubled must be true or false, got {doubled!r}")
+        dim = 2 * base.n + 1 if doubled else base.n + 1
+        if gram.matrix.shape[0] != dim:
+            raise ArgumentError(f"gram.dim {gram.matrix.shape[0]} does not match the graph: expected {dim}")
         if "thresholds" in doc:
             thresholds = config_from_dict(Thresholds, doc["thresholds"], "thresholds.")
         else:
             thresholds = cfg.thresholds
-        report = _probe_report(base, gram, bool(doc.get("doubled", False)), thresholds, cfg)
+        report = _probe_report(base, gram, doubled, thresholds, cfg)
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.out:
             out = Path(args.out)
@@ -510,14 +523,11 @@ def _dispatch(args) -> int:
     oracle = None if args.no_exact else exact_vc(g, cfg.oracle_budget)
     trace = evaluate_ratio(trace, oracle, cfg.tau_ratio)
     _print_summary(instance_id, trace)
-    if args.dump_gram and trace.z_sdp_doubled is not None:
-        v_half = sorted(set(g.vertices) - set(trace.v_one) - set(trace.v_zero))
-        residual = induced_subgraph(g, v_half)
-        gram = admm_solve(build_sdp_doubled(duplicate_join(residual)), cfg.sdp)
+    if args.dump_gram and trace.gram is not None:
         doc = {
-            "graph": json.loads(residual.to_json()),
+            "graph": json.loads(trace.residual.to_json()),
             "doubled": True,
-            "gram": json.loads(gram.to_json()),
+            "gram": json.loads(trace.gram.to_json()),
         }
         Path(args.dump_gram).write_text(json.dumps(doc) + "\n")
     if args.out:
@@ -535,21 +545,11 @@ def _probe_report(base: Graph, gram, doubled: bool, th: Thresholds, cfg: Pipelin
         report = classify_property1(emb, base.vertices, th)
         eps = build_epsilon_subgraph(emb, base, th)
         return {"property": report.to_dict(), "epsilon_subgraph": eps.to_dict()}
-    dg = duplicate_join(base)
-    emb = extract_vectors(gram, labels=dg.combined.vertices)
-    prime_ids = dg.copy_ids("prime")
-    dp_ids = dg.copy_ids("double_prime")
-    rep_p = classify_property1(emb, prime_ids, th)
-    rep_d = classify_property1(emb, dp_ids, th)
-    prime_graph = induced_subgraph(dg.combined, prime_ids)
-    eps = build_epsilon_subgraph(emb, prime_graph, th)
-    dp_graph = induced_subgraph(dg.combined, dp_ids)
-    eps_other = build_epsilon_subgraph(emb, dp_graph, th)
-    anchor = cfg.anchor_edge or (eps_other.graph.edges[0] if eps_other.graph.edges else None)
-    probe = odd_cycle_probe(emb, eps, anchor, cfg.probe_tol)
+    a = analyze_doubled(duplicate_join(base), gram, th)
+    eps, eps_other, probe = a.band_probe(th, cfg.anchor_edge, cfg.probe_tol)
     return {
-        "property_prime": rep_p.to_dict(),
-        "property_double_prime": rep_d.to_dict(),
+        "property_prime": a.rep_p.to_dict(),
+        "property_double_prime": a.rep_d.to_dict(),
         "epsilon_subgraph_prime": eps.to_dict(),
         "epsilon_subgraph_double_prime": eps_other.to_dict(),
         "odd_cycle_probe": probe.to_dict(),

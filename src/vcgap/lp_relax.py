@@ -58,22 +58,12 @@ class LpProblem:
     def n_vars(self) -> int:
         return len(self.objective)
 
-    def to_text(self) -> str:
-        """Plain-text dump for debugging."""
-        lines = ["min " + " + ".join(f"{c:g}*x{j}" for j, c in enumerate(self.objective) if c)]
-        for coeffs, rel, rhs in self.rows:
-            terms = " + ".join(f"{a:g}*x{j}" for j, a in enumerate(coeffs) if a)
-            lines.append(f"  {terms} {rel} {rhs:g}")
-        lines.extend(f"  {lo:g} <= x{j} <= {hi:g}" for j, (lo, hi) in enumerate(self.bounds))
-        return "\n".join(lines)
-
 
 @dataclass
 class LpSolution:
     values: np.ndarray | None
     objective_value: float | None
     status: str  # "optimal" | "infeasible" | "unbounded"
-    basis: tuple[str, ...] | None
     iterations: int
     labels: tuple[int, ...] | None = None
 
@@ -116,7 +106,7 @@ def simplex_solve(p: LpProblem, tau_lp: float = TAU_LP) -> LpSolution:
                 else (shifted_rhs <= tau_lp if rel == ">=" else shifted_rhs >= -tau_lp)
             )
             if not ok:
-                return LpSolution(None, None, "infeasible", None, 0, p.labels)
+                return LpSolution(None, None, "infeasible", 0, p.labels)
             continue
         rows_std.append((fc.copy(), rel, shifted_rhs))
     for k, j in enumerate(free):
@@ -128,17 +118,17 @@ def simplex_solve(p: LpProblem, tau_lp: float = TAU_LP) -> LpSolution:
 
     if len(free) == 0:
         values = x_base.copy()
-        return LpSolution(values, float(p.objective @ values), "optimal", (), 0, p.labels)
+        return LpSolution(values, float(p.objective @ values), "optimal", 0, p.labels)
 
-    status, y, basis_labels, iters = _two_phase(rows_std, p.objective[free].astype(float))
+    status, y, iters = _two_phase(rows_std, p.objective[free].astype(float))
     if status != "optimal":
-        return LpSolution(None, None, status, None, iters, p.labels)
+        return LpSolution(None, None, status, iters, p.labels)
 
     values = x_base.copy()
     values[free] += y
     np.clip(values, lo, hi, out=values)
     _validate(p, values, tau_lp, iters)
-    return LpSolution(values, float(p.objective @ values), "optimal", basis_labels, iters, p.labels)
+    return LpSolution(values, float(p.objective @ values), "optimal", iters, p.labels)
 
 
 def _validate(p: LpProblem, values: np.ndarray, tau_lp: float, iters: int) -> None:
@@ -177,7 +167,6 @@ def _two_phase(rows: list[tuple[np.ndarray, str, float]], c: np.ndarray):
     T = np.zeros((m + 1, ncols + 1))
     T[:m, :nv] = A
     T[:m, -1] = b
-    col_labels = [f"x{j}" for j in range(nv)]
     basis = np.zeros(m, dtype=int)
     scol = nv
     acol = nv + n_slack
@@ -186,11 +175,9 @@ def _two_phase(rows: list[tuple[np.ndarray, str, float]], c: np.ndarray):
         if rel == "<=":
             T[i, scol] = 1.0
             basis[i] = scol
-            col_labels.append(f"s{i}")
             scol += 1
         elif rel == ">=":
             T[i, scol] = -1.0
-            col_labels.append(f"s{i}")
             scol += 1
             T[i, acol] = 1.0
             basis[i] = acol
@@ -201,7 +188,6 @@ def _two_phase(rows: list[tuple[np.ndarray, str, float]], c: np.ndarray):
             basis[i] = acol
             art_cols.append(acol)
             acol += 1
-    col_labels.extend(f"a{i}" for i in range(n_art))
     art_set = set(art_cols)
 
     iters = 0
@@ -218,7 +204,7 @@ def _two_phase(rows: list[tuple[np.ndarray, str, float]], c: np.ndarray):
         if status != "optimal":
             raise SolverError(f"phase-1 pivoting failed ({status}) after {iters} pivots")
         if -T[m, -1] > 1e-7:
-            return "infeasible", None, None, iters
+            return "infeasible", None, iters
         _drive_out_artificials(T, basis, art_set)
 
     cost2 = np.zeros(ncols)
@@ -231,14 +217,13 @@ def _two_phase(rows: list[tuple[np.ndarray, str, float]], c: np.ndarray):
     status, it2 = _pivot_loop(T, basis, forbidden=frozenset(art_set))
     iters += it2
     if status != "optimal":
-        return status, None, None, iters
+        return status, None, iters
 
     y = np.zeros(nv)
     for i in range(m):
         if basis[i] < nv:
             y[basis[i]] = max(T[i, -1], 0.0)
-    basis_labels = tuple(col_labels[j] for j in sorted(basis))
-    return "optimal", y, basis_labels, iters
+    return "optimal", y, iters
 
 
 def _drive_out_artificials(T: np.ndarray, basis: np.ndarray, art_set: set[int]) -> None:
@@ -324,7 +309,7 @@ def extreme_point_refine(
     face equality stays exactly consistent across iterations.
     """
     if g.n == 0:
-        return LpSolution(np.zeros(0), 0.0, "optimal", (), 0, labels=())
+        return LpSolution(np.zeros(0), 0.0, "optimal", 0, labels=())
     # The relaxation optimum is a multiple of 1/2; snap within tolerance.
     z = z_star
     if abs(2 * z - round(2 * z)) <= 1e-6 * max(1.0, g.n):
@@ -357,7 +342,7 @@ def extreme_point_refine(
         values[k] = val
 
     _validate(LpProblem(np.ones(g.n), base.rows + [sum_row], [(0.0, 1.0)] * g.n), values, tau_lp, iters)
-    return LpSolution(values, float(values.sum()), "optimal", None, iters, labels=g.vertices)
+    return LpSolution(values, float(values.sum()), "optimal", iters, labels=g.vertices)
 
 
 def _snap(val: float, tau_half: float) -> float:

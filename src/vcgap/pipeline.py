@@ -34,6 +34,8 @@ from .lp_relax import (
 from .rounding_geometry import (
     PAPER_THRESHOLDS,
     EpsilonSubgraph,
+    OddCycleProbe,
+    PropertyReport,
     Thresholds,
     build_epsilon_subgraph,
     certify_theorem2,
@@ -43,7 +45,7 @@ from .rounding_geometry import (
     theorem4_lower_bound,
     threshold_cut,
 )
-from .sdp_solve import SolverConfig, admm_solve, build_sdp_doubled, extract_vectors
+from .sdp_solve import GramSolution, SolverConfig, VectorEmbedding, admm_solve, build_sdp_doubled, extract_vectors
 
 SCHEMA_VERSION = "1"
 
@@ -145,12 +147,18 @@ class RunTrace:
     certificate_violated: bool = False
     flags: list[str] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    # The working graph after kernelization and the doubled Gram solved on it,
+    # for callers that read them back; left out of to_dict, == and repr.
+    residual: Graph | None = field(default=None, compare=False, repr=False, metadata={"json": False})
+    gram: GramSolution | None = field(default=None, compare=False, repr=False, metadata={"json": False})
 
     def to_dict(self) -> dict:
         """Flat JSON-ready document: the graph in its canonical form, every
         tuple and list as a fresh list (callers append to the copied flags)."""
         doc = {}
         for f in fields(self):
+            if not f.metadata.get("json", True):
+                continue
             value = getattr(self, f.name)
             if isinstance(value, Graph):
                 value = json.loads(value.to_json())
@@ -188,7 +196,6 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
     always comes out, and that cover is verified on the original graph.
     """
     t0 = time.perf_counter()
-    th = cfg.thresholds
     trace = RunTrace(SCHEMA_VERSION, g, g.n, g.m, step_taken="")
 
     lp = simplex_solve(build_vc_lp(g), cfg.tau_lp)
@@ -206,6 +213,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
         trace.timings["kernelize"] = time.perf_counter() - t
     else:
         decomp, h = _empty_decomposition(g), g
+    trace.residual = h
     trace.residual_n = h.n
     trace.residual_m = h.m
 
@@ -217,6 +225,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
     t = time.perf_counter()
     dg = duplicate_join(h)
     gram = admm_solve(build_sdp_doubled(dg), cfg.sdp)
+    trace.gram = gram
     trace.z_sdp_doubled = gram.objective_value
     trace.sdp_converged = gram.converged
     trace.sdp_iterations = gram.iterations
@@ -228,47 +237,66 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
         return _finish(trace, g, decomp, maximal_matching_cover(h), t0)
 
     t = time.perf_counter()
-    emb = extract_vectors(gram, labels=dg.combined.vertices)
-    prime_ids = dg.copy_ids("prime")
-    dp_ids = dg.copy_ids("double_prime")
-    rep_p = classify_property1(emb, prime_ids, th)
-    rep_d = classify_property1(emb, dp_ids, th)
-    trace.property_prime = rep_p.to_dict()
-    trace.property_double_prime = rep_d.to_dict()
+    a = analyze_doubled(dg, gram, cfg.thresholds)
+    trace.property_prime = a.rep_p.to_dict()
+    trace.property_double_prime = a.rep_d.to_dict()
 
-    if not rep_p.holds_1a:
-        cover_h = _cut_copy(trace, STEP_CUT_PRIME, emb, dg, prime_ids, h, cfg)
-    elif not rep_d.holds_1a:
-        cover_h = _cut_copy(trace, STEP_CUT_DOUBLE_PRIME, emb, dg, dp_ids, h, cfg)
-    elif not rep_p.holds_1b:
-        cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_PRIME, rep_p, h, cfg)
-    elif not rep_d.holds_1b:
-        cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_DOUBLE_PRIME, rep_d, h, cfg)
+    if not a.rep_p.holds_1a:
+        cover_h = _cut_copy(trace, STEP_CUT_PRIME, a, a.prime_ids, h)
+    elif not a.rep_d.holds_1a:
+        cover_h = _cut_copy(trace, STEP_CUT_DOUBLE_PRIME, a, a.dp_ids, h)
+    elif not a.rep_p.holds_1b:
+        cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_PRIME, a.rep_p, h, cfg)
+    elif not a.rep_d.holds_1b:
+        cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_DOUBLE_PRIME, a.rep_d, h, cfg)
     else:
-        cover_h = _bipartite_step(trace, emb, dg, prime_ids, dp_ids, h, cfg)
+        cover_h = _bipartite_step(trace, a, h, cfg)
     trace.timings["rounding"] = time.perf_counter() - t
     return _finish(trace, g, decomp, cover_h, t0)
 
 
-def _to_base(dg: DoubledGraph, ids) -> frozenset[int]:
-    return frozenset(dg.base_id(c) for c in ids)
+@dataclass(frozen=True)
+class DoubledAnalysis:
+    """A solved doubled relaxation read back: the unit vectors, each copy's
+    combined vertex ids and the Property-1 report of each copy."""
+
+    dg: DoubledGraph
+    emb: VectorEmbedding
+    prime_ids: tuple[int, ...]
+    dp_ids: tuple[int, ...]
+    rep_p: PropertyReport
+    rep_d: PropertyReport
+
+    def band_probe(
+        self, th: Thresholds, anchor_edge: tuple[int, int] | None, probe_tol: float
+    ) -> tuple[EpsilonSubgraph, EpsilonSubgraph, OddCycleProbe]:
+        """Both copies' band subgraphs and the odd-cycle probe on the first
+        copy's, anchored on `anchor_edge`, else on the second copy's first
+        band edge."""
+        eps = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.prime_ids), th)
+        eps_other = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dp_ids), th)
+        anchor = anchor_edge or (eps_other.graph.edges[0] if eps_other.graph.edges else None)
+        return eps, eps_other, odd_cycle_probe(self.emb, eps, anchor, probe_tol)
+
+
+def analyze_doubled(dg: DoubledGraph, gram: GramSolution, th: Thresholds) -> DoubledAnalysis:
+    """Factor the doubled Gram into vectors and classify both copies."""
+    emb = extract_vectors(gram, labels=dg.combined.vertices)
+    prime_ids, dp_ids = dg.copy_ids("prime"), dg.copy_ids("double_prime")
+    rep_p = classify_property1(emb, prime_ids, th)
+    return DoubledAnalysis(dg, emb, prime_ids, dp_ids, rep_p, classify_property1(emb, dp_ids, th))
 
 
 def _cut_copy(
-    trace: RunTrace,
-    step: str,
-    emb,
-    dg: DoubledGraph,
-    copy_ids: tuple[int, ...],
-    h: Graph,
-    cfg: PipelineConfig,
+    trace: RunTrace, step: str, a: DoubledAnalysis, copy_ids: tuple[int, ...], h: Graph
 ) -> CoverPartition:
     """Threshold cut on one copy, verified on the working graph and repaired
     edge-by-edge when infeasible (possible because cross entries may push an
     edge's two products below one half simultaneously)."""
-    cut = threshold_cut(emb, copy_ids, cut=0.5)
-    products = {dg.base_id(c): emb.product_with_origin(c) for c in copy_ids}
-    in_cover = set(_to_base(dg, cut.in_cover))
+    dg = a.dg
+    cut = threshold_cut(a.emb, copy_ids, cut=0.5)
+    products = {dg.base_id(c): a.emb.product_with_origin(c) for c in copy_ids}
+    in_cover = {dg.base_id(c) for c in cut.in_cover}
     partition = CoverPartition(frozenset(in_cover), frozenset(h.vertices) - frozenset(in_cover))
     ok, uncovered = verify_cover(h, partition)
     if not ok:
@@ -318,25 +346,10 @@ def _arbitrary_with_bound(
     return maximal_matching_cover(h)
 
 
-def _bipartite_step(
-    trace: RunTrace,
-    emb,
-    dg: DoubledGraph,
-    prime_ids: tuple[int, ...],
-    dp_ids: tuple[int, ...],
-    h: Graph,
-    cfg: PipelineConfig,
-) -> CoverPartition:
+def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: PipelineConfig) -> CoverPartition:
     """Both product conditions hold: solve the band subgraph of the first copy
     exactly when bipartite, else record the odd-cycle probe and fall back."""
-    prime_graph = induced_subgraph(dg.combined, prime_ids)
-    eps = build_epsilon_subgraph(emb, prime_graph, cfg.thresholds)
-    anchor = cfg.anchor_edge
-    if anchor is None:
-        dp_graph = induced_subgraph(dg.combined, dp_ids)
-        eps_other = build_epsilon_subgraph(emb, dp_graph, cfg.thresholds)
-        anchor = eps_other.graph.edges[0] if eps_other.graph.edges else None
-    probe = odd_cycle_probe(emb, eps, anchor, cfg.probe_tol)
+    eps, _, probe = a.band_probe(cfg.thresholds, cfg.anchor_edge, cfg.probe_tol)
     trace.theorem6_probe = probe.to_dict()
 
     if not probe.bipartite:
@@ -349,9 +362,8 @@ def _bipartite_step(
         raise ContractViolation("band subgraph passed the odd-cycle probe but is not bipartite")
     matching = max_matching(eps.graph, coloring)
     eps_cover = konig_cover(eps.graph, coloring, matching)
-    in_combined = set(eps_cover.in_cover) | (set(prime_ids) - eps.v_eps)
-    in_base = set(_to_base(dg, in_combined))
-    partition = CoverPartition.from_cover(h, in_base)
+    in_combined = set(eps_cover.in_cover) | (set(a.prime_ids) - eps.v_eps)
+    partition = CoverPartition.from_cover(h, {a.dg.base_id(c) for c in in_combined})
     ok, uncovered = verify_cover(h, partition)
     if not ok:
         raise ContractViolation(f"band-subgraph completion missed edges {uncovered[:5]}")

@@ -281,13 +281,6 @@ class OddCycleProbe:
             "note": self.note,
         }
 
-    def defect_csv_rows(self) -> list[str]:
-        """One row per cycle edge: position, edge defect, collapse defect."""
-        rows = ["position,per_edge_defect,collapse_defect"]
-        for idx, (e, c) in enumerate(zip(self.per_edge_defects, self.collapse_defects)):
-            rows.append(f"{idx},{e!r},{c!r}")
-        return rows
-
 
 def odd_cycle_probe(
     emb: VectorEmbedding,

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, get_lapack_funcs
 
-from .errors import ArgumentError, SolverError, VcgapError, check_int, check_real
+from .errors import ArgumentError, SolverError, VcgapError, check_int, check_keys, check_real
 from .graph_core import DoubledGraph, Graph
 
 TAU_FEAS = 1e-5
@@ -103,10 +103,16 @@ class GramSolution:
 
 
 def gram_from_json(text: str) -> GramSolution:
+    """Inverse of GramSolution.to_json. Raises ArgumentError naming the key
+    when one is missing or unknown, or `matrix` is not dim * dim numbers."""
     doc = json.loads(text)
-    d = int(doc["dim"])
+    check_keys("gram", doc, ["dim"] + [f.name for f in fields(GramSolution)])
+    d, matrix = doc["dim"], doc["matrix"]
+    check_int("gram.dim", d)
+    if not isinstance(matrix, list) or len(matrix) != d * d or not all(isinstance(x, (int, float)) for x in matrix):
+        raise ArgumentError(f"gram.matrix must be a list of dim * dim = {d * d} numbers")
     return GramSolution(
-        matrix=np.array(doc["matrix"], dtype=float).reshape(d, d),
+        matrix=np.array(matrix, dtype=float).reshape(d, d),
         objective_value=float(doc["objective_value"]),
         max_equality_violation=float(doc["max_equality_violation"]),
         max_box_violation=float(doc["max_box_violation"]),
@@ -129,25 +135,14 @@ def build_sdp_single(g: Graph) -> SdpProblem:
 
 
 def build_sdp_doubled(dg: DoubledGraph) -> SdpProblem:
-    """Relaxation on the doubled graph: copy edges plus all cross pairs.
-
-    Cross entries (one index in each copy) are boxed to [-1, 1]; everything
-    else, including both copies' rows against index 0, stays in [0, 1].
-    """
-    comb = dg.combined
+    """Relaxation on the doubled graph: the single-graph relaxation of the
+    combined graph with the cross block (one index in each copy) widened to
+    [-1, 1]. Combined ids are positional, so the first copy is indices 1..n."""
+    p = build_sdp_single(dg.combined)
     n = dg.base.n
-    pos = {v: i + 1 for i, v in enumerate(comb.vertices)}
-    con_i = np.array([pos[u] for u, v in comb.edges], dtype=int)
-    con_j = np.array([pos[v] for u, v in comb.edges], dtype=int)
-    d = comb.n + 1
-    lo = np.zeros((d, d))
-    hi = np.ones((d, d))
-    prime = np.array([pos[c] for c in dg.copy_ids("prime")], dtype=int)
-    dprime = np.array([pos[c] for c in dg.copy_ids("double_prime")], dtype=int)
-    lo[np.ix_(prime, dprime)] = -1.0
-    lo[np.ix_(dprime, prime)] = -1.0
-    np.fill_diagonal(lo, 1.0)
-    return SdpProblem(d, con_i, con_j, lo, hi, labels=comb.vertices)
+    p.lo[1 : n + 1, n + 1 :] = -1.0
+    p.lo[n + 1 :, 1 : n + 1] = -1.0
+    return p
 
 
 def psd_project(mat: np.ndarray) -> np.ndarray:
@@ -354,10 +349,6 @@ class VectorEmbedding:
 
     def product_with_origin(self, label: int) -> float:
         return float(self.vectors[0] @ self.vectors[self.index_of(label)])
-
-    def origin_products(self) -> dict[int, float]:
-        vals = self.vectors[1:] @ self.vectors[0]
-        return {label: float(v) for label, v in zip(self.labels, vals)}
 
     def vector_for(self, label: int) -> np.ndarray:
         return self.vectors[self.index_of(label)]

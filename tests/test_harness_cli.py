@@ -1,4 +1,6 @@
+import functools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from vcgap.harness_cli import (
     table_to_plotdata,
 )
 from vcgap.lp_relax import HalfIntegralityViolation, build_vc_lp, simplex_solve
-from vcgap.sdp_solve import GramSolution
+from vcgap.pipeline import STEP_EDGELESS
+from vcgap.sdp_solve import ExtractionError, GramSolution
 
 
 class TestGenerateGraph:
@@ -76,6 +79,15 @@ BAD_BATCHES = {
     "model-on-file-entry": ({"corpus": [{"file": "x.dimacs", "model": "gnp"}]}, "model"),
     "generated-entry-lacks-n": ({"corpus": [{"model": "gnp", "parameter": 0.4}]}, "n"),
     "corpus-not-array": ({"corpus": {"model": "gnp"}}, "corpus"),
+    "count-not-integer": ({"corpus": [dict(GEN_ENTRY, count="x")]}, "count"),
+    "count-bool": ({"corpus": [dict(GEN_ENTRY, count=True)]}, "count"),
+    "n-not-integer": ({"corpus": [dict(GEN_ENTRY, n=6.5)]}, "n must be an integer"),
+    "n-bool": ({"corpus": [dict(GEN_ENTRY, n=True)]}, "n must be an integer"),
+    "seed-string": ({"corpus": [dict(GEN_ENTRY, seed="1")]}, "seed"),
+    "seed-float": ({"corpus": [dict(GEN_ENTRY, seed=1.0)]}, "seed"),
+    "parameter-string": ({"corpus": [dict(GEN_ENTRY, parameter="0.4")]}, "parameter"),
+    "parameter-nan": ({"corpus": [dict(GEN_ENTRY, parameter=float("nan"))]}, "parameter"),
+    "parameter-bool": ({"corpus": [dict(GEN_ENTRY, parameter=True)]}, "parameter"),
     "non-object": ([GEN_ENTRY], "batch spec"),
 }
 
@@ -118,6 +130,26 @@ class TestRunBatch:
             return table
 
         assert strip(serial) == strip(parallel)
+
+    def test_extraction_error_fails_its_row_only(self, tmp_path, capsys, monkeypatch):
+        # No fallback: an ExtractionError inside mahdis_run propagates. A batch
+        # records it as that row's error and completes the other rows; solve
+        # exits 2.
+        import vcgap.pipeline
+
+        def unfactorable(*args, **kwargs):
+            raise ExtractionError("forced")
+
+        monkeypatch.setattr(vcgap.pipeline, "extract_vectors", unfactorable)
+        table = run_batch({"corpus": [GEN_ENTRY, {"model": "star_union", "n": 8, "parameter": 4}]})
+        failed, done = sorted(table["rows"], key=lambda row: "trace" in row)
+        assert failed["error"] == "ExtractionError: forced" and "'gnp'" in failed["instance_id"]
+        assert done["trace"]["step_taken"] == STEP_EDGELESS
+        assert table["aggregates"]["failures"] == [{"instance_id": failed["instance_id"], "error": failed["error"]}]
+        dimacs = tmp_path / "k3.dimacs"
+        dimacs.write_text(write_dimacs(complete_graph(3)))
+        assert main(["solve", str(dimacs)]) == 2
+        assert "ExtractionError" in capsys.readouterr().err
 
     def test_instance_failure_recorded_not_raised(self):
         table = run_batch({"corpus": [{"file": "/nonexistent/never.dimacs", "id": "gone"}]})
@@ -185,6 +217,32 @@ class TestRunInstance:
         assert "oracle_unknown" in row["trace"]["flags"]
 
 
+def _set(path, value):
+    *keys, last = path
+    return lambda doc: functools.reduce(dict.__getitem__, keys, doc).__setitem__(last, value)
+
+
+def _drop(path):
+    *keys, last = path
+    return lambda doc: functools.reduce(dict.__getitem__, keys, doc).pop(last)
+
+
+BAD_PROBES = {
+    "lacks-graph": (_drop(["graph"]), "graph"),
+    "lacks-gram": (_drop(["gram"]), "gram"),
+    "graph-not-object": (_set(["graph"], [[0, 1]]), "graph"),
+    "gram-not-object": (_set(["gram"], "eye"), "gram"),
+    "unknown-top-key": (_set(["gramm"], {}), "gramm"),
+    "graph-lacks-edges": (_drop(["graph", "edges"]), "edges"),
+    "gram-lacks-dim": (_drop(["gram", "dim"]), "dim"),
+    "gram-lacks-matrix": (_drop(["gram", "matrix"]), "matrix"),
+    "gram-lacks-converged": (_drop(["gram", "converged"]), "converged"),
+    "matrix-not-dim-squared": (_set(["gram", "matrix"], [1.0] * 8), "matrix"),
+    "dim-not-n-plus-1": (_set(["gram"], json.loads(GramSolution(np.eye(4), 0, 0, 0, 1, 1, True).to_json())), "gram.dim"),
+    "dim-not-2n-plus-1": (_set(["doubled"], True), "gram.dim"),
+}
+
+
 class TestCliMain:
     def test_gen_solve_exact_baseline(self, tmp_path, capsys):
         out = tmp_path / "g.dimacs"
@@ -205,16 +263,47 @@ class TestCliMain:
         assert "batch: 2 instances" in out
         assert (tmp_path / "out" / "report.csv").exists()
 
-    def test_probe_command(self, tmp_path, capsys):
-        dimacs = tmp_path / "c5.dimacs"
+    def test_probe_command(self, tmp_path, capsys, monkeypatch):
+        import vcgap.pipeline
+        from vcgap import harness_cli
+
         main(["gen", "--model", "odd_cycle_rich", "--n", "5", "--parameter", "0", "--seed", "1", "--out", str(tmp_path)])
         generated = capsys.readouterr().out.strip()
+        solves = []
+
+        def counted(module):
+            solve = module.admm_solve
+            monkeypatch.setattr(module, "admm_solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+
+        counted(vcgap.pipeline)
+        counted(harness_cli)
         gram_path = tmp_path / "gram.json"
-        assert main(["solve", generated, "--dump-gram", str(gram_path), "--no-exact"]) == 0
+        assert main(["solve", generated, "--dump-gram", str(gram_path), "--no-exact", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
+        assert len(solves) == 1  # the dump is the run's own Gram, not a second solve
+        trace = json.loads((tmp_path / (Path(generated).stem + ".trace.json")).read_text())
+        dump = json.loads(gram_path.read_text())
+        assert dump["doubled"] and dump["graph"] == trace["graph"]
+        assert dump["gram"]["objective_value"] == trace["z_sdp_doubled"]
         assert main(["probe", str(gram_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert "property_prime" in doc and "odd_cycle_probe" in doc
+        assert "odd_cycle_probe" in doc
+        assert doc["property_prime"] == trace["property_prime"]
+        assert doc["property_double_prime"] == trace["property_double_prime"]
+
+    @pytest.mark.parametrize("case,key", list(BAD_PROBES.values()), ids=list(BAD_PROBES))
+    def test_probe_rejects_malformed_document(self, case, key, tmp_path, capsys):
+        doc = {
+            "graph": json.loads(complete_graph(2).to_json()),
+            "doubled": False,
+            "gram": json.loads(GramSolution(np.eye(3), 1.0, 0.0, 0.0, 1.0, 1, True).to_json()),
+        }
+        case(doc)
+        path = tmp_path / "probe.json"
+        path.write_text(json.dumps(doc))
+        assert main(["probe", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and key in err
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["solve"]) == 1

@@ -18,6 +18,7 @@ from vcgap.pipeline import (
     STEP_EDGELESS,
     STEP_SDP_FALLBACK,
     STEP_THEOREM6_FALLBACK,
+    DoubledAnalysis,
     PipelineConfig,
     RunTrace,
     _cut_copy,
@@ -156,8 +157,8 @@ class TestCutRepair:
             vectors[idx, idx] = np.sqrt(1 - p * p)
         emb = VectorEmbedding(vectors, labels=dg.combined.vertices)
         trace = RunTrace("1", g, 2, 1, step_taken="")
-        cfg = PipelineConfig()
-        partition = _cut_copy(trace, STEP_CUT_PRIME, emb, dg, dg.copy_ids("prime"), g, cfg)
+        a = DoubledAnalysis(dg, emb, dg.copy_ids("prime"), dg.copy_ids("double_prime"), None, None)
+        partition = _cut_copy(trace, STEP_CUT_PRIME, a, a.prime_ids, g)
         ok, _ = verify_cover(g, partition)
         assert ok
         assert trace.repairs and trace.repairs[0]["step"] == STEP_CUT_PRIME

@@ -325,10 +325,3 @@ class TestOddCycleProbe:
         assert not probe.chain_applicable
         assert not probe.contradiction_flagged
         assert max(probe.per_edge_defects) > 0.004
-
-    def test_defect_csv_rows(self):
-        emb, eps, anchor = c5_band_embedding()
-        probe = odd_cycle_probe(emb, eps, anchor)
-        rows = probe.defect_csv_rows()
-        assert rows[0] == "position,per_edge_defect,collapse_defect"
-        assert len(rows) == 6

@@ -39,7 +39,44 @@ class TestBuildSingle:
         assert gs.converged and gs.objective_value == pytest.approx(0.0, abs=1e-4)
 
 
+def reference_build_sdp_doubled(dg):
+    """The doubled builder as it stood before it was expressed through
+    build_sdp_single: its own encoding of the edge equalities and boxes."""
+    comb = dg.combined
+    pos = {v: i + 1 for i, v in enumerate(comb.vertices)}
+    con_i = np.array([pos[u] for u, v in comb.edges], dtype=int)
+    con_j = np.array([pos[v] for u, v in comb.edges], dtype=int)
+    d = comb.n + 1
+    lo = np.zeros((d, d))
+    hi = np.ones((d, d))
+    prime = np.array([pos[c] for c in dg.copy_ids("prime")], dtype=int)
+    dprime = np.array([pos[c] for c in dg.copy_ids("double_prime")], dtype=int)
+    lo[np.ix_(prime, dprime)] = -1.0
+    lo[np.ix_(dprime, prime)] = -1.0
+    np.fill_diagonal(lo, 1.0)
+    return d, con_i, con_j, lo, hi, comb.vertices
+
+
+DOUBLED_BASES = {
+    "n0": Graph.build([], []),
+    "n1": Graph.build([4], []),
+    "k3": complete_graph(3),
+    "c5": cycle_graph(5),
+    "gnp9": random_gnp(9, 0.4, seed=3),
+    "gnp12": random_gnp(12, 0.3, seed=8),
+}
+
+
 class TestBuildDoubled:
+    @pytest.mark.parametrize("g", list(DOUBLED_BASES.values()), ids=list(DOUBLED_BASES))
+    def test_matches_reference_builder(self, g):
+        dg = duplicate_join(g)
+        p = build_sdp_doubled(dg)
+        d, con_i, con_j, lo, hi, labels = reference_build_sdp_doubled(dg)
+        assert p.dim == d and p.labels == labels
+        for got, want in ((p.con_i, con_i), (p.con_j, con_j), (p.lo, lo), (p.hi, hi)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_base_k2(self):
         p = build_sdp_doubled(duplicate_join(complete_graph(2)))
         assert p.dim == 5 and p.n_constraints == 6
