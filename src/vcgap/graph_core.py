@@ -2,8 +2,8 @@
 doubled-graph construction, odd-cycle detection, and cover verification.
 
 Vertex ids are stable integers that survive induced subgraphs; the doubled
-graph keeps an origin map so combined vertices can be traced back to base
-vertices.
+graph numbers its vertices by position, so combined vertices i and n+i are
+the two copies of the i-th base vertex.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ArgumentError, ContractViolation, ParseError, check_int, check_keys, is_int
-
-PRIME = "prime"
-DOUBLE_PRIME = "double_prime"
 
 
 @dataclass(frozen=True)
@@ -88,13 +85,14 @@ class DoubledGraph:
 
     base: Graph
     combined: Graph
-    origin_map: Mapping[int, tuple[str, int]]
 
-    def copy_ids(self, tag: str) -> tuple[int, ...]:
-        return tuple(c for c in self.combined.vertices if self.origin_map[c][0] == tag)
+    def copy_ids(self, copy: int) -> range:
+        """Combined ids of the prime (0) or double-prime (1) copy."""
+        n = self.base.n
+        return range(copy * n, (copy + 1) * n)
 
     def base_id(self, combined_id: int) -> int:
-        return self.origin_map[combined_id][1]
+        return self.base.vertices[combined_id % self.base.n]
 
 
 @dataclass(frozen=True)
@@ -185,10 +183,6 @@ def duplicate_join(g: Graph) -> DoubledGraph:
     """Combine two copies of g, adding every (prime, double-prime) pair as an edge."""
     n = g.n
     pos = {v: i for i, v in enumerate(g.vertices)}
-    origin: dict[int, tuple[str, int]] = {}
-    for v, i in pos.items():
-        origin[i] = (PRIME, v)
-        origin[n + i] = (DOUBLE_PRIME, v)
     edges: list[tuple[int, int]] = []
     for u, v in g.edges:
         edges.append((pos[u], pos[v]))
@@ -199,7 +193,7 @@ def duplicate_join(g: Graph) -> DoubledGraph:
     combined = Graph.build(range(2 * n), edges)
     if combined.m != 2 * g.m + n * n:
         raise ContractViolation(f"doubled graph has {combined.m} edges, expected {2 * g.m + n * n}")
-    return DoubledGraph(g, combined, origin)
+    return DoubledGraph(g, combined)
 
 
 @dataclass(frozen=True)

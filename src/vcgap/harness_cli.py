@@ -121,26 +121,29 @@ def generate_graph(model: str, n: int, parameter: float, seed: int) -> Graph:
     return Graph.build(range(n), edges)
 
 
-def _instance_graph(spec: dict) -> tuple[str, Graph]:
+def _instance_id(spec: dict) -> str:
     if "file" in spec:
-        path = Path(spec["file"])
-        g = parse_dimacs(path.read_text())
-        return spec.get("id", path.stem), g
-    g = generate_graph(spec["model"], int(spec["n"]), float(spec["parameter"]), int(spec["seed"]))
-    return f'{spec["model"]}-n{spec["n"]}-p{spec["parameter"]:g}-s{spec["seed"]}', g
+        return spec.get("id", Path(spec["file"]).stem)
+    return f'{spec["model"]}-n{spec["n"]}-p{spec["parameter"]:g}-s{spec["seed"]}'
+
+
+def _instance_graph(spec: dict) -> Graph:
+    if "file" in spec:
+        return parse_dimacs(Path(spec["file"]).read_text())
+    return generate_graph(spec["model"], int(spec["n"]), float(spec["parameter"]), int(spec["seed"]))
 
 
 def run_instance(spec: dict, cfg: PipelineConfig = PipelineConfig(), oracle_max_n: int = 32) -> dict:
     """Full single-instance experiment: pipeline, oracle, baseline, and the
     single-graph relaxation of the working graph for the doubled-value bracket."""
-    instance_id, g = _instance_graph(spec)
+    g = _instance_graph(spec)
     trace = mahdis_run(g, cfg)
     oracle = exact_vc(g, cfg.oracle_budget) if g.n <= oracle_max_n else None
     trace = evaluate_ratio(trace, oracle, cfg.tau_ratio)
     baseline = two_approx_baseline(g)
 
     row: dict = {
-        "instance_id": instance_id,
+        "instance_id": _instance_id(spec),
         "trace": trace.to_dict(),
         "baseline_size": baseline.cover_size,
         "z_sdp_single": None,
@@ -170,7 +173,7 @@ def _worker(args: tuple) -> dict:
         return run_instance(spec, cfg, oracle_max_n)
     except Exception as exc:  # recorded per instance; the batch continues
         return {
-            "instance_id": spec.get("id", repr(spec)),
+            "instance_id": _instance_id(spec),
             "error": f"{type(exc).__name__}: {exc}",
         }
 
@@ -415,7 +418,7 @@ def _build_parser() -> _Parser:
     p_batch = sub.add_parser("batch", parents=[config, out], help="run a corpus described by a JSON file")
     p_batch.add_argument("spec", help="batch spec JSON with corpus and pipeline settings")
     p_batch.add_argument("--format", choices=["json", "csv", "plotdata"], default="csv")
-    p_batch.add_argument("--jobs", type=int, default=1)
+    p_batch.add_argument("--jobs", type=int, help="worker processes (default: the spec's jobs, else 1)")
 
     p_probe = sub.add_parser("probe", parents=[config, out], help="geometry probes on a saved Gram solution")
     p_probe.add_argument("path", help='JSON: {"graph": {...}, "doubled": bool, "gram": {...}}')
@@ -464,7 +467,7 @@ def _dispatch(args) -> int:
     if args.command == "batch":
         batch_doc = _read_object(args.spec, "batch spec")
         batch_doc.setdefault("pipeline", cfg_doc)
-        jobs = args.jobs if args.jobs > 1 else batch_doc.get("jobs", 1)
+        jobs = args.jobs if args.jobs is not None else batch_doc.get("jobs", 1)
         check_int("jobs", jobs)
         table = run_batch(batch_doc, jobs)
         out_dir = args.out or "."
@@ -541,7 +544,7 @@ def _dispatch(args) -> int:
 
 def _probe_report(base: Graph, gram, doubled: bool, th: Thresholds, cfg: PipelineConfig) -> dict:
     if not doubled:
-        emb = extract_vectors(gram, labels=base.vertices)
+        emb = extract_vectors(gram)
         report = classify_property1(emb, base.vertices, th)
         eps = build_epsilon_subgraph(emb, base, th)
         return {"property": report.to_dict(), "epsilon_subgraph": eps.to_dict()}

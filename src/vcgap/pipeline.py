@@ -18,7 +18,6 @@ from .graph_core import (
     DoubledGraph,
     Graph,
     duplicate_join,
-    find_odd_cycle,
     induced_subgraph,
     verify_cover,
 )
@@ -242,9 +241,9 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
     trace.property_double_prime = a.rep_d.to_dict()
 
     if not a.rep_p.holds_1a:
-        cover_h = _cut_copy(trace, STEP_CUT_PRIME, a, a.prime_ids, h)
+        cover_h = _cut_copy(trace, STEP_CUT_PRIME, a, a.dg.copy_ids(0), h)
     elif not a.rep_d.holds_1a:
-        cover_h = _cut_copy(trace, STEP_CUT_DOUBLE_PRIME, a, a.dp_ids, h)
+        cover_h = _cut_copy(trace, STEP_CUT_DOUBLE_PRIME, a, a.dg.copy_ids(1), h)
     elif not a.rep_p.holds_1b:
         cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_PRIME, a.rep_p, h, cfg)
     elif not a.rep_d.holds_1b:
@@ -257,13 +256,11 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
 
 @dataclass(frozen=True)
 class DoubledAnalysis:
-    """A solved doubled relaxation read back: the unit vectors, each copy's
-    combined vertex ids and the Property-1 report of each copy."""
+    """A solved doubled relaxation read back: the unit vectors with their
+    origin products and the Property-1 report of each copy."""
 
     dg: DoubledGraph
     emb: VectorEmbedding
-    prime_ids: tuple[int, ...]
-    dp_ids: tuple[int, ...]
     rep_p: PropertyReport
     rep_d: PropertyReport
 
@@ -273,29 +270,28 @@ class DoubledAnalysis:
         """Both copies' band subgraphs and the odd-cycle probe on the first
         copy's, anchored on `anchor_edge`, else on the second copy's first
         band edge."""
-        eps = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.prime_ids), th)
-        eps_other = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dp_ids), th)
+        eps = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dg.copy_ids(0)), th)
+        eps_other = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dg.copy_ids(1)), th)
         anchor = anchor_edge or (eps_other.graph.edges[0] if eps_other.graph.edges else None)
         return eps, eps_other, odd_cycle_probe(self.emb, eps, anchor, probe_tol)
 
 
 def analyze_doubled(dg: DoubledGraph, gram: GramSolution, th: Thresholds) -> DoubledAnalysis:
     """Factor the doubled Gram into vectors and classify both copies."""
-    emb = extract_vectors(gram, labels=dg.combined.vertices)
-    prime_ids, dp_ids = dg.copy_ids("prime"), dg.copy_ids("double_prime")
-    rep_p = classify_property1(emb, prime_ids, th)
-    return DoubledAnalysis(dg, emb, prime_ids, dp_ids, rep_p, classify_property1(emb, dp_ids, th))
+    emb = extract_vectors(gram)
+    rep_p = classify_property1(emb, dg.copy_ids(0), th)
+    return DoubledAnalysis(dg, emb, rep_p, classify_property1(emb, dg.copy_ids(1), th))
 
 
 def _cut_copy(
-    trace: RunTrace, step: str, a: DoubledAnalysis, copy_ids: tuple[int, ...], h: Graph
+    trace: RunTrace, step: str, a: DoubledAnalysis, copy_ids: range, h: Graph
 ) -> CoverPartition:
     """Threshold cut on one copy, verified on the working graph and repaired
     edge-by-edge when infeasible (possible because cross entries may push an
     edge's two products below one half simultaneously)."""
     dg = a.dg
     cut = threshold_cut(a.emb, copy_ids, cut=0.5)
-    products = {dg.base_id(c): a.emb.product_with_origin(c) for c in copy_ids}
+    products = {dg.base_id(c): a.emb.origin[c] for c in copy_ids}
     in_cover = {dg.base_id(c) for c in cut.in_cover}
     partition = CoverPartition(frozenset(in_cover), frozenset(h.vertices) - frozenset(in_cover))
     ok, uncovered = verify_cover(h, partition)
@@ -332,8 +328,12 @@ def _arbitrary_with_bound(
     """Many products above the band: the optimum is pushed strictly above n/2,
     so any feasible cover earns a sub-2 bound; output the matching cover."""
     th = cfg.thresholds
-    bound = theorem4_lower_bound(report, th)
+    trace.step_taken = step
     delta = th.above_band_fraction * th.epsilon - th.below_half_fraction / 2.0
+    if delta <= 0:  # the thresholds leave no margin above n/2 to certify
+        trace.flags.append("theorem2_no_margin")
+        return maximal_matching_cover(h)
+    bound = theorem4_lower_bound(report, th)
     cert = certify_theorem2(h.n, k=1.0 / delta)
     cert_d = cert.to_dict()
     cert_d["inputs"]["theorem4_lower_bound"] = bound
@@ -342,7 +342,6 @@ def _arbitrary_with_bound(
         "transfer to the optimum (recorded, not oracle-checked here)"
     )
     trace.certificates.append(cert_d)
-    trace.step_taken = step
     return maximal_matching_cover(h)
 
 
@@ -357,12 +356,11 @@ def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: Pipeline
         trace.flags.append("theorem6_violation")
         return maximal_matching_cover(h)
 
-    coloring = find_odd_cycle(eps.graph)
-    if not isinstance(coloring, Bipartition):
-        raise ContractViolation("band subgraph passed the odd-cycle probe but is not bipartite")
+    # the probe's classes are the verified 2-coloring of the band subgraph
+    coloring = Bipartition(*map(frozenset, probe.classes))
     matching = max_matching(eps.graph, coloring)
     eps_cover = konig_cover(eps.graph, coloring, matching)
-    in_combined = set(eps_cover.in_cover) | (set(a.prime_ids) - eps.v_eps)
+    in_combined = set(eps_cover.in_cover) | (set(a.dg.copy_ids(0)) - eps.v_eps)
     partition = CoverPartition.from_cover(h, {a.dg.base_id(c) for c in in_combined})
     ok, uncovered = verify_cover(h, partition)
     if not ok:

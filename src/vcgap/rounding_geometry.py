@@ -77,10 +77,10 @@ def classify_property1(
     emb: VectorEmbedding, vertex_ids: Iterable[int], th: Thresholds = PAPER_THRESHOLDS
 ) -> PropertyReport:
     """Count origin products strictly below 0.5 and strictly above the band top."""
-    ids = list(vertex_ids)
-    n = len(ids)
-    below = sum(1 for v in ids if emb.product_with_origin(v) < 0.5)
-    above = sum(1 for v in ids if emb.product_with_origin(v) > th.band_top)
+    products = [emb.origin[v] for v in vertex_ids]
+    n = len(products)
+    below = sum(1 for p in products if p < 0.5)
+    above = sum(1 for p in products if p > th.band_top)
     return PropertyReport(
         count_below_half=below,
         count_above_band=above,
@@ -97,7 +97,7 @@ def threshold_cut(emb: VectorEmbedding, vertex_ids: Iterable[int], cut: float = 
     it against the edge set and repair or fall back when it is not.
     """
     ids = list(vertex_ids)
-    out = frozenset(v for v in ids if emb.product_with_origin(v) < cut)
+    out = frozenset(v for v in ids if emb.origin[v] < cut)
     return CoverPartition(frozenset(ids) - out, out)
 
 
@@ -191,9 +191,7 @@ def build_epsilon_subgraph(
     emb: VectorEmbedding, g: Graph, th: Thresholds = PAPER_THRESHOLDS
 ) -> EpsilonSubgraph:
     """Closed-interval band membership, then the induced subgraph of g."""
-    v_eps = frozenset(
-        v for v in g.vertices if 0.5 <= emb.product_with_origin(v) <= th.band_top
-    )
+    v_eps = frozenset(v for v in g.vertices if 0.5 <= emb.origin[v] <= th.band_top)
     sub = induced_subgraph(g, v_eps)
     fraction = len(v_eps) / g.n if g.n else 1.0
     return EpsilonSubgraph(v_eps, sub, fraction)
@@ -309,16 +307,16 @@ def odd_cycle_probe(
             note="odd cycle found but no anchor edge available in the other copy",
         )
     c, d = anchor_edge_other_copy
-    v_o = emb.vectors[0]
-    u = 2.0 * v_o - emb.vector_for(c) - emb.vector_for(d)
+    vec = emb.vectors  # row v + 1 is vertex v
+    u = 2.0 * vec[0] - vec[c + 1] - vec[d + 1]
     u_norm = float(np.linalg.norm(u))
     verts = cycle.vertices
     t = len(verts)
     per_edge = tuple(
-        float(np.linalg.norm(emb.vector_for(verts[i]) + emb.vector_for(verts[(i + 1) % t]) - u))
+        float(np.linalg.norm(vec[verts[i] + 1] + vec[verts[(i + 1) % t] + 1] - u))
         for i in range(t)
     )
-    collapse = tuple(float(np.linalg.norm(emb.vector_for(v) - 0.5 * u)) for v in verts)
+    collapse = tuple(float(np.linalg.norm(vec[v + 1] - 0.5 * u)) for v in verts)
     contradiction = abs(u_norm - math.sqrt(2.0))
     applicable = max(per_edge) <= tol
     return OddCycleProbe(

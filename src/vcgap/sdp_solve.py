@@ -48,7 +48,6 @@ class SdpProblem:
     con_j: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    labels: tuple[int, ...]
 
     @property
     def n_constraints(self) -> int:
@@ -131,7 +130,7 @@ def build_sdp_single(g: Graph) -> SdpProblem:
     lo = np.zeros((d, d))
     hi = np.ones((d, d))
     np.fill_diagonal(lo, 1.0)
-    return SdpProblem(d, con_i, con_j, lo, hi, labels=g.vertices)
+    return SdpProblem(d, con_i, con_j, lo, hi)
 
 
 def build_sdp_doubled(dg: DoubledGraph) -> SdpProblem:
@@ -334,31 +333,15 @@ def _residuals(M: np.ndarray, p: SdpProblem) -> tuple[float, float]:
 class VectorEmbedding:
     """Unit vectors whose pairwise products reproduce a Gram matrix.
 
-    Index 0 is the distinguished vector; labels map indices 1..dim-1 back to
-    graph vertex ids.
+    Row 0 is the distinguished vector and row v+1 belongs to vertex v;
+    origin[v] is the product of the two.
     """
 
     vectors: np.ndarray  # dim x dim, row per index
-    labels: tuple[int, ...]
-
-    def products(self, i: int, j: int) -> float:
-        return float(self.vectors[i] @ self.vectors[j])
-
-    def index_of(self, label: int) -> int:
-        return self.labels.index(label) + 1
-
-    def product_with_origin(self, label: int) -> float:
-        return float(self.vectors[0] @ self.vectors[self.index_of(label)])
-
-    def vector_for(self, label: int) -> np.ndarray:
-        return self.vectors[self.index_of(label)]
+    origin: tuple[float, ...]
 
 
-def extract_vectors(
-    gs: GramSolution,
-    labels: tuple[int, ...] | None = None,
-    tau_factor: float = TAU_FACTOR,
-) -> VectorEmbedding:
+def extract_vectors(gs: GramSolution, tau_factor: float = TAU_FACTOR) -> VectorEmbedding:
     """Factor a converged Gram solution into unit vectors.
 
     Eigendecomposes, clips negative eigenvalues, scales the eigenbasis by the
@@ -379,9 +362,8 @@ def extract_vectors(
     err = float(np.max(np.abs(vectors @ vectors.T - M)))
     if err > tau_factor:
         raise ExtractionError(f"reconstruction error {err:.3g} exceeds {tau_factor:g}")
-    if labels is None:
-        labels = tuple(range(d - 1))
-    return VectorEmbedding(vectors, tuple(labels))
+    # a dot product per row: a matrix-vector product can round differently and flip a 0.5 decision
+    return VectorEmbedding(vectors, tuple(float(vectors[0] @ vectors[v + 1]) for v in range(d - 1)))
 
 
 @dataclass(frozen=True)

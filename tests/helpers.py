@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 
 from vcgap.graph_core import CoverPartition, Graph, verify_cover
+from vcgap.sdp_solve import VectorEmbedding
 
 
 def cycle_graph(k: int, start: int = 1) -> Graph:
@@ -40,6 +41,12 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.build(range(n), edges)
+
+
+def embedding_of(vectors: np.ndarray) -> VectorEmbedding:
+    """Embedding of given rows (row 0 the distinguished vector, row v + 1
+    vertex v), origin products taken row by row as extract_vectors does."""
+    return VectorEmbedding(vectors, tuple(float(vectors[0] @ row) for row in vectors[1:]))
 
 
 def brute_force_min_cover(g: Graph) -> int:

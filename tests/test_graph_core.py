@@ -138,12 +138,12 @@ class TestDuplicateJoin:
             dg = duplicate_join(g)
             assert dg.combined.m == 2 * g.m + n * n
 
-    def test_origin_map_and_order(self):
+    def test_copy_ids_and_order(self):
         g = Graph.build([5, 9], [(5, 9)])
         dg = duplicate_join(g)
-        assert dg.copy_ids("prime") == (0, 1)
-        assert dg.copy_ids("double_prime") == (2, 3)
-        assert dg.base_id(0) == 5 and dg.base_id(3) == 9
+        assert tuple(dg.copy_ids(0)) == (0, 1)
+        assert tuple(dg.copy_ids(1)) == (2, 3)
+        assert [dg.base_id(c) for c in range(4)] == [5, 9, 5, 9]
         # within-copy edges mirror the base, every cross pair present
         assert (0, 1) in dg.combined.edges and (2, 3) in dg.combined.edges
         for i in (0, 1):

@@ -143,9 +143,13 @@ class TestRunBatch:
         monkeypatch.setattr(vcgap.pipeline, "extract_vectors", unfactorable)
         table = run_batch({"corpus": [GEN_ENTRY, {"model": "star_union", "n": 8, "parameter": 4}]})
         failed, done = sorted(table["rows"], key=lambda row: "trace" in row)
-        assert failed["error"] == "ExtractionError: forced" and "'gnp'" in failed["instance_id"]
+        assert failed["error"] == "ExtractionError: forced" and failed["instance_id"] == "gnp-n6-p0.4-s1"
         assert done["trace"]["step_taken"] == STEP_EDGELESS
         assert table["aggregates"]["failures"] == [{"instance_id": failed["instance_id"], "error": failed["error"]}]
+        # the failed row keeps the id a successful row would have, so the CSV keeps its shape
+        _, *lines = table_to_csv(table).strip().split("\n")
+        assert [len(line.split(",")) for line in lines] == [len(CSV_COLUMNS)] * 2
+        assert lines[0].split(",")[-1] == "error:ExtractionError: forced"
         dimacs = tmp_path / "k3.dimacs"
         dimacs.write_text(write_dimacs(complete_graph(3)))
         assert main(["solve", str(dimacs)]) == 2
@@ -262,6 +266,34 @@ class TestCliMain:
         out = capsys.readouterr().out
         assert "batch: 2 instances" in out
         assert (tmp_path / "out" / "report.csv").exists()
+
+    @pytest.mark.parametrize("flag,spec_jobs,used", [(None, 2, 2), ("1", 2, 1), ("3", 2, 3), (None, None, 1)])
+    def test_batch_jobs_flag_wins_over_spec(self, flag, spec_jobs, used, tmp_path, monkeypatch):
+        from vcgap import harness_cli
+
+        seen = []
+
+        def recording_run_batch(doc, jobs=1):
+            seen.append(jobs)
+            return {"schema_version": "1", "rows": [], "aggregates": harness_cli._aggregate([])}
+
+        monkeypatch.setattr(harness_cli, "run_batch", recording_run_batch)
+        doc = {"corpus": []} if spec_jobs is None else {"corpus": [], "jobs": spec_jobs}
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps(doc))
+        args = ["batch", str(spec), "--out", str(tmp_path / "out")] + (["--jobs", flag] if flag else [])
+        assert main(args) == 0
+        assert seen == [used]
+
+    @pytest.mark.parametrize("flag", ["0", "-5"])
+    def test_batch_jobs_below_one_exit_1(self, flag, tmp_path, capsys, monkeypatch):
+        from vcgap import harness_cli
+
+        monkeypatch.setattr(harness_cli, "run_batch", lambda *args: pytest.fail("run_batch was called"))
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps({"corpus": [], "jobs": 2}))
+        assert main(["batch", str(spec), "--jobs", flag, "--out", str(tmp_path / "out")]) == 1
+        assert "jobs" in capsys.readouterr().err
 
     def test_probe_command(self, tmp_path, capsys, monkeypatch):
         import vcgap.pipeline

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -152,6 +154,40 @@ class TestExtremePointRefine:
             sol = extreme_point_refine(g, z)
             assert all(v in (0.0, 0.5, 1.0) for v in sol.values)
             assert sol.objective_value == pytest.approx(z, abs=1e-7)
+
+    def test_order_gives_lexicographic_minimum_of_the_optimal_grid(self):
+        # Sequential minimization in `order` must land on the lexicographically
+        # smallest (in that order) optimal {0, 1/2, 1} assignment.
+        rng = np.random.default_rng(29)
+        graphs = [star_graph(3), cycle_graph(5), complete_graph(4), Graph.build([2, 9], [])]
+        for _ in range(30):
+            g = random_gnp(int(rng.integers(2, 9)), float(rng.choice([0.2, 0.4, 0.6])), seed=int(rng.integers(1 << 30)))
+            graphs.append(Graph.build([3 * v + 1 for v in g.vertices], [(3 * u + 1, 3 * v + 1) for u, v in g.edges]))
+        checked = 0
+        for g in graphs:
+            z = simplex_solve(build_vc_lp(g)).objective_value
+            shuffled = tuple(int(v) for v in rng.permutation(g.vertices))
+            orders = [g.vertices, tuple(reversed(g.vertices)), shuffled]
+            for order in orders:
+                sol = extreme_point_refine(g, z, order=order)
+                assert list(sol.values) == lex_min_optimal_grid_point(g, order), (g, order)
+                checked += 1
+        assert checked == 3 * len(graphs)
+
+
+def lex_min_optimal_grid_point(g: Graph, order) -> list[float]:
+    """By enumeration: among the feasible {0, 1/2, 1} assignments whose sum is
+    the relaxation optimum, the smallest when read in `order`; returned in
+    vertex id order."""
+    z = half_integral_grid_optimum(g)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    best = None
+    for x in itertools.product((0.0, 0.5, 1.0), repeat=g.n):
+        if sum(x) == z and all(x[pos[u]] + x[pos[v]] >= 1.0 for u, v in g.edges):
+            key = [x[pos[v]] for v in order]
+            if best is None or key < best[0]:
+                best = (key, list(x))
+    return best[1]
 
 
 class TestClassifyHalfIntegral:

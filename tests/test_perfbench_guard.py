@@ -4,7 +4,8 @@ perfbench/run.py wraps the layer functions that vcgap.pipeline and
 vcgap.harness_cli call through their module globals, and checks every
 wrapped call against the RunTrace.timings stage it runs in. A refactor that
 moves such a call out of its module or out of its stage window fails here,
-not only when the benchmark runs.
+not only when the benchmark runs, and so does a change that alters a
+decision (step, cover size, flags or certificates) on the tiny pools.
 """
 
 import json
@@ -24,3 +25,5 @@ def test_traced_tiny_run_passes_its_checks(workload):
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0 and result["attempted"] > 0
+    # every cover matches the stored decision fingerprint of its relabeling
+    assert result["metrics"]["decision_drift"]["value"] == 0

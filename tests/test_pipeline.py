@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from helpers import complete_graph, cycle_graph, random_gnp, star_graph
+from helpers import complete_graph, cycle_graph, embedding_of, random_gnp, star_graph
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import ExactResult, exact_vc
 from vcgap.graph_core import CoverPartition, Graph, duplicate_join, verify_cover, write_dimacs
-from vcgap.harness_cli import main
+from vcgap.harness_cli import generate_graph, main
 from vcgap.pipeline import (
     STEP_ARBITRARY_PRIME,
     STEP_BASELINE,
@@ -27,7 +27,7 @@ from vcgap.pipeline import (
     two_approx_baseline,
 )
 from vcgap.rounding_geometry import Thresholds
-from vcgap.sdp_solve import SolverConfig, VectorEmbedding
+from vcgap.sdp_solve import SolverConfig
 
 
 def run_with_oracle(g: Graph, cfg: PipelineConfig = PipelineConfig()) -> RunTrace:
@@ -122,6 +122,23 @@ class TestMahdisRun:
         assert ok
         assert trace.certificates and trace.certificates[-1]["source"] == "theorem3"
 
+    def test_arbitrary_step_without_margin_emits_no_certificate(self, tmp_path, capsys):
+        # delta = 0.5 * 0.1 - 0.5 / 2 < 0: these thresholds leave the optimum
+        # no margin above n/2, so there is no Theorem-2 bound to claim.
+        th = {"below_half_fraction": 0.5, "above_band_fraction": 0.5, "epsilon": 0.1}
+        cfg = PipelineConfig.from_dict({"thresholds": th})
+        g = generate_graph("gnp", 9, 0.4, 3)
+        trace = run_with_oracle(g, cfg)
+        assert trace.step_taken == STEP_ARBITRARY_PRIME
+        assert trace.flags == ["theorem2_no_margin"] and trace.certificates == []
+        ok, _ = verify_cover(g, CoverPartition.from_cover(g, trace.in_cover))
+        assert ok and trace.empirical_ratio <= 2.0
+        dimacs, config = tmp_path / "g.dimacs", tmp_path / "cfg.json"
+        dimacs.write_text(write_dimacs(g))
+        config.write_text(json.dumps({"thresholds": th}))
+        assert main(["solve", str(dimacs), "--config", str(config)]) == 0
+        assert "flags=theorem2_no_margin" in capsys.readouterr().out
+
     def test_arbitrary_step_carries_certificate(self):
         trace = run_with_oracle(complete_graph(3))
         assert trace.step_taken == STEP_ARBITRARY_PRIME
@@ -155,10 +172,9 @@ class TestCutRepair:
         for idx, p in zip(range(1, 5), (0.4, 0.3, 0.5, 0.5)):
             vectors[idx, 0] = p
             vectors[idx, idx] = np.sqrt(1 - p * p)
-        emb = VectorEmbedding(vectors, labels=dg.combined.vertices)
         trace = RunTrace("1", g, 2, 1, step_taken="")
-        a = DoubledAnalysis(dg, emb, dg.copy_ids("prime"), dg.copy_ids("double_prime"), None, None)
-        partition = _cut_copy(trace, STEP_CUT_PRIME, a, a.prime_ids, g)
+        a = DoubledAnalysis(dg, embedding_of(vectors), None, None)
+        partition = _cut_copy(trace, STEP_CUT_PRIME, a, dg.copy_ids(0), g)
         ok, _ = verify_cover(g, partition)
         assert ok
         assert trace.repairs and trace.repairs[0]["step"] == STEP_CUT_PRIME

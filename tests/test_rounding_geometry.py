@@ -3,11 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from helpers import complete_graph, cycle_graph
+from helpers import complete_graph, cycle_graph, embedding_of
 from vcgap.errors import ArgumentError
-from vcgap.graph_core import Graph, verify_cover
+from vcgap.graph_core import (
+    Bipartition,
+    CoverPartition,
+    Graph,
+    duplicate_join,
+    find_odd_cycle,
+    induced_subgraph,
+    verify_cover,
+)
+from vcgap.pipeline import analyze_doubled
 from vcgap.rounding_geometry import (
     EpsilonSubgraph,
+    OddCycleProbe,
     PropertyReport,
     Thresholds,
     build_epsilon_subgraph,
@@ -19,20 +29,19 @@ from vcgap.rounding_geometry import (
     theorem4_lower_bound,
     threshold_cut,
 )
-from vcgap.sdp_solve import VectorEmbedding
+from vcgap.sdp_solve import GramSolution, VectorEmbedding, extract_vectors
 
 
-def embedding_from_products(products: dict[int, float]) -> VectorEmbedding:
-    """Unit vectors with prescribed origin products: v_j = p*e0 + sqrt(1-p^2)*e_j."""
-    labels = tuple(products)
-    dim = len(labels) + 1
+def embedding_from_products(products: list[float]) -> VectorEmbedding:
+    """Unit vectors with prescribed origin products for vertices 0..n-1:
+    row v + 1 is p*e0 + sqrt(1-p^2)*e_(v+1) with p = products[v]."""
+    dim = len(products) + 1
     vectors = np.zeros((dim, dim))
     vectors[0, 0] = 1.0
-    for idx, label in enumerate(labels, start=1):
-        p = products[label]
-        vectors[idx, 0] = p
-        vectors[idx, idx] = math.sqrt(max(1.0 - p * p, 0.0))
-    return VectorEmbedding(vectors, labels)
+    for v, p in enumerate(products):
+        vectors[v + 1, 0] = p
+        vectors[v + 1, v + 1] = math.sqrt(max(1.0 - p * p, 0.0))
+    return embedding_of(vectors)
 
 
 class TestThresholds:
@@ -54,20 +63,20 @@ class TestThresholds:
 
 class TestClassifyProperty1:
     def test_all_products_at_half(self):
-        emb = embedding_from_products({i: 0.5 for i in range(10)})
+        emb = embedding_from_products([0.5] * 10)
         report = classify_property1(emb, range(10))
         assert (report.count_below_half, report.count_above_band) == (0, 0)
         assert report.holds_1a and report.holds_1b and report.holds
 
     def test_three_below_breaks_condition_a(self):
-        products = {i: 0.5 for i in range(10)}
+        products = [0.5] * 10
         products[0] = products[1] = products[2] = 0.3
         report = classify_property1(embedding_from_products(products), range(10))
         assert report.count_below_half == 3
         assert not report.holds_1a and not report.holds
 
     def test_nine_above_on_thousand_keeps_condition_b(self):
-        products = {i: 0.5 for i in range(1000)}
+        products = [0.5] * 1000
         for i in range(9):
             products[i] = 0.6
         report = classify_property1(embedding_from_products(products), range(1000))
@@ -79,33 +88,33 @@ class TestClassifyProperty1:
         th = Thresholds()
         for _ in range(20):
             n = int(rng.integers(1, 30))
-            products = {i: float(rng.random()) for i in range(n)}
+            products = [float(rng.random()) for _ in range(n)]
             emb = embedding_from_products(products)
             report = classify_property1(emb, range(n), th)
-            assert report.count_below_half == sum(1 for p in products.values() if p < 0.5)
-            assert report.count_above_band == sum(1 for p in products.values() if p > th.band_top)
+            assert report.count_below_half == sum(1 for p in products if p < 0.5)
+            assert report.count_above_band == sum(1 for p in products if p > th.band_top)
             assert report.n == n
 
 
 class TestThresholdCut:
     def test_k2_feasible_split(self):
-        emb = embedding_from_products({1: 0.3, 2: 0.7})
-        cut = threshold_cut(emb, (1, 2))
-        assert cut.out_cover == {1} and cut.in_cover == {2}
-        ok, _ = verify_cover(complete_graph(2), cut)
+        emb = embedding_from_products([0.3, 0.7])
+        cut = threshold_cut(emb, (0, 1))
+        assert cut.out_cover == {0} and cut.in_cover == {1}
+        ok, _ = verify_cover(complete_graph(2, start=0), cut)
         assert ok
 
     def test_all_at_half_everything_in(self):
-        emb = embedding_from_products({i: 0.5 for i in range(1, 5)})
-        cut = threshold_cut(emb, range(1, 5))
+        emb = embedding_from_products([0.5] * 4)
+        cut = threshold_cut(emb, range(4))
         assert cut.out_cover == frozenset()
 
     def test_both_below_is_infeasible_and_detected(self):
-        emb = embedding_from_products({1: 0.4, 2: 0.4})
-        cut = threshold_cut(emb, (1, 2))
+        emb = embedding_from_products([0.4, 0.4])
+        cut = threshold_cut(emb, (0, 1))
         assert cut.in_cover == frozenset()
-        ok, uncovered = verify_cover(complete_graph(2), cut)
-        assert not ok and uncovered == [(1, 2)]
+        ok, uncovered = verify_cover(complete_graph(2, start=0), cut)
+        assert not ok and uncovered == [(0, 1)]
 
 
 class TestCertificates:
@@ -182,24 +191,24 @@ class TestTheorem4LowerBound:
 
 class TestEpsilonSubgraph:
     def test_all_at_half_keeps_everything(self):
-        g = cycle_graph(4)
-        emb = embedding_from_products({v: 0.5 for v in g.vertices})
+        g = cycle_graph(4, start=0)
+        emb = embedding_from_products([0.5] * 4)
         eps = build_epsilon_subgraph(emb, g)
         assert eps.v_eps == set(g.vertices)
         assert eps.graph.edges == g.edges
         assert eps.coverage_fraction == 1.0
 
     def test_band_is_closed_interval(self):
-        g = Graph.build([1, 2, 3], [])
-        emb = embedding_from_products({1: 0.3, 2: 0.5002, 3: 0.6})
+        g = Graph.build([0, 1, 2], [])
+        emb = embedding_from_products([0.3, 0.5002, 0.6])
         eps = build_epsilon_subgraph(emb, g)
-        assert eps.v_eps == {2}
+        assert eps.v_eps == {1}
 
     def test_k3_with_band_edge_value(self):
-        g = complete_graph(3)
-        emb = embedding_from_products({1: 0.5, 2: 0.5, 3: 0.5001})
+        g = complete_graph(3, start=0)
+        emb = embedding_from_products([0.5, 0.5, 0.5001])
         eps = build_epsilon_subgraph(emb, g)
-        assert eps.graph.m == 3 and eps.v_eps == {1, 2, 3}
+        assert eps.graph.m == 3 and eps.v_eps == {0, 1, 2}
 
 
 class TestPerpendicularCompletion:
@@ -272,16 +281,16 @@ def c5_band_embedding(t: float = 0.2) -> tuple[VectorEmbedding, EpsilonSubgraph,
     vectors[6, 6] = math.sqrt(0.75)
     vectors[7, 0] = 0.5
     vectors[7, 7] = math.sqrt(0.75)
-    emb = VectorEmbedding(vectors, labels=(0, 1, 2, 3, 4, 10, 11))
+    emb = embedding_of(vectors)  # cycle vertices 0..4, anchor vertices 5 and 6
     graph = cycle_graph(5, start=0)
     eps = EpsilonSubgraph(frozenset(range(5)), graph, 1.0)
-    return emb, eps, (10, 11)
+    return emb, eps, (5, 6)
 
 
 class TestOddCycleProbe:
     def test_bipartite_band_subgraph(self):
-        g = cycle_graph(4)
-        emb = embedding_from_products({v: 0.5 for v in g.vertices})
+        g = cycle_graph(4, start=0)
+        emb = embedding_from_products([0.5] * 4)
         eps = build_epsilon_subgraph(emb, g)
         probe = odd_cycle_probe(emb, eps, None)
         assert probe.bipartite
@@ -293,8 +302,8 @@ class TestOddCycleProbe:
         # from sqrt(2). A fully consistent configuration cannot exist.
         emb, eps, anchor = c5_band_embedding()
         for i in range(5):
-            assert emb.product_with_origin(i) == pytest.approx(0.5, abs=1e-12)
-            assert emb.products(1 + i, 1 + (i + 1) % 5) == pytest.approx(0.0, abs=1e-9)
+            assert emb.origin[i] == pytest.approx(0.5, abs=1e-12)
+            assert float(emb.vectors[1 + i] @ emb.vectors[1 + (i + 1) % 5]) == pytest.approx(0.0, abs=1e-9)
         probe = odd_cycle_probe(emb, eps, anchor, tol=0.004)
         assert not probe.bipartite
         assert len(probe.cycle) == 5
@@ -309,19 +318,181 @@ class TestOddCycleProbe:
         assert "anchor" in probe.note
 
     def test_far_from_band_chain_inapplicable(self):
-        g = cycle_graph(5)
-        products = {v: 0.95 for v in g.vertices}
-        emb = embedding_from_products(products)
+        g = cycle_graph(5, start=0)
+        emb = embedding_from_products([0.95] * 5)
         eps = EpsilonSubgraph(frozenset(g.vertices), g, 1.0)
-        anchors = embedding_from_products({77: 0.9, 78: 0.9})
+        # anchor vertices 5 and 6 at origin product 0.9
         merged_vectors = np.zeros((8, emb.vectors.shape[1] + 2))
         merged_vectors[:6, : emb.vectors.shape[1]] = emb.vectors
         merged_vectors[6, 0] = 0.9
         merged_vectors[6, -2] = math.sqrt(1 - 0.81)
         merged_vectors[7, 0] = 0.9
         merged_vectors[7, -1] = math.sqrt(1 - 0.81)
-        emb2 = VectorEmbedding(merged_vectors, labels=g.vertices + (77, 78))
-        probe = odd_cycle_probe(emb2, eps, (77, 78), tol=0.004)
+        probe = odd_cycle_probe(embedding_of(merged_vectors), eps, (5, 6), tol=0.004)
         assert not probe.chain_applicable
         assert not probe.contradiction_flagged
         assert max(probe.per_edge_defects) > 0.004
+
+
+# The reading of a doubled solution as it stood before ids were positional:
+# vectors looked up through a label tuple, copies found through an origin
+# map of (copy tag, base vertex) per combined vertex. Kept as the reference
+# the positional reading must reproduce exactly.
+
+
+class LabelEmbedding:
+    def __init__(self, vectors: np.ndarray, labels: tuple[int, ...]):
+        self.vectors = vectors
+        self.labels = labels
+
+    def index_of(self, label: int) -> int:
+        return self.labels.index(label) + 1
+
+    def product_with_origin(self, label: int) -> float:
+        return float(self.vectors[0] @ self.vectors[self.index_of(label)])
+
+    def vector_for(self, label: int) -> np.ndarray:
+        return self.vectors[self.index_of(label)]
+
+
+def reference_origin_map(base: Graph) -> dict[int, tuple[str, int]]:
+    n = base.n
+    origin = {}
+    for i, v in enumerate(base.vertices):
+        origin[i] = ("prime", v)
+        origin[n + i] = ("double_prime", v)
+    return origin
+
+
+def reference_classify(emb: LabelEmbedding, ids, th: Thresholds) -> PropertyReport:
+    ids = list(ids)
+    n = len(ids)
+    below = sum(1 for v in ids if emb.product_with_origin(v) < 0.5)
+    above = sum(1 for v in ids if emb.product_with_origin(v) > th.band_top)
+    return PropertyReport(below, above, n, below < th.below_half_fraction * n, above < th.above_band_fraction * n)
+
+
+def reference_cut(emb: LabelEmbedding, ids, cut: float = 0.5):
+    ids = list(ids)
+    out = frozenset(v for v in ids if emb.product_with_origin(v) < cut)
+    return CoverPartition(frozenset(ids) - out, out)
+
+
+def reference_band(emb: LabelEmbedding, g: Graph, th: Thresholds) -> EpsilonSubgraph:
+    v_eps = frozenset(v for v in g.vertices if 0.5 <= emb.product_with_origin(v) <= th.band_top)
+    return EpsilonSubgraph(v_eps, induced_subgraph(g, v_eps), len(v_eps) / g.n if g.n else 1.0)
+
+
+def reference_probe(emb: LabelEmbedding, eps_sub: EpsilonSubgraph, anchor, tol: float) -> OddCycleProbe:
+    result = find_odd_cycle(eps_sub.graph)
+    if isinstance(result, Bipartition):
+        return OddCycleProbe(
+            bipartite=True,
+            classes=(tuple(sorted(result.left)), tuple(sorted(result.right))),
+            note="band subgraph is bipartite; contradiction chain not applicable",
+        )
+    if anchor is None:
+        return OddCycleProbe(
+            bipartite=False,
+            cycle=result.vertices,
+            note="odd cycle found but no anchor edge available in the other copy",
+        )
+    c, d = anchor
+    u = 2.0 * emb.vectors[0] - emb.vector_for(c) - emb.vector_for(d)
+    u_norm = float(np.linalg.norm(u))
+    verts = result.vertices
+    t = len(verts)
+    per_edge = tuple(
+        float(np.linalg.norm(emb.vector_for(verts[i]) + emb.vector_for(verts[(i + 1) % t]) - u)) for i in range(t)
+    )
+    collapse = tuple(float(np.linalg.norm(emb.vector_for(v) - 0.5 * u)) for v in verts)
+    contradiction = abs(u_norm - math.sqrt(2.0))
+    applicable = max(per_edge) <= tol
+    return OddCycleProbe(
+        bipartite=False,
+        cycle=verts,
+        anchor_edge=(c, d),
+        u_norm=u_norm,
+        contradiction_magnitude=contradiction,
+        per_edge_defects=per_edge,
+        collapse_defects=collapse,
+        chain_applicable=applicable,
+        contradiction_flagged=applicable and contradiction > tol,
+    )
+
+
+POSITIONAL_TH = Thresholds(below_half_fraction=0.25, above_band_fraction=0.25, epsilon=0.05)
+
+
+def random_doubled_case(seed: int) -> tuple[Graph, np.ndarray]:
+    """A random base graph on ids that are not positions, and unit rows for
+    its doubled graph: row 0 is e0 and each vertex row has an origin product
+    drawn from values below, at the edges of, inside and above the band, so
+    that 0.5 and band_top occur exactly."""
+    rng = np.random.default_rng(500 + seed)
+    n = int(rng.integers(3, 8))
+    ids = [3 * i + 2 for i in range(n)]
+    base = Graph.build(ids, [(u, v) for u in ids for v in ids if u < v and rng.random() < 0.6])
+    th = POSITIONAL_TH
+    choices = (0.3, 0.5, 0.5, th.band_top, th.band_top, 0.5 + th.epsilon / 2, 0.8)
+    dim = 2 * n + 1
+    rows = np.zeros((dim, dim))
+    rows[0, 0] = 1.0
+    for r in range(1, dim):
+        p = choices[int(rng.integers(len(choices)))]
+        w = rng.normal(size=dim - 1)
+        rows[r, 0] = p
+        rows[r, 1:] = math.sqrt(1.0 - p * p) * w / np.linalg.norm(w)
+    return base, rows
+
+
+class TestPositionalReadingMatchesLabels:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_same_reports_cuts_bands_and_probes(self, seed):
+        base, rows = random_doubled_case(seed)
+        n = base.n
+        dg = duplicate_join(base)
+        gram = GramSolution(rows @ rows.T, 0.0, 0.0, 0.0, 0.0, 1, True)
+        origin = reference_origin_map(base)
+        # exact products from the rows themselves, then the same Gram factored
+        for emb in (embedding_of(rows), extract_vectors(gram)):
+            ref = LabelEmbedding(emb.vectors, dg.combined.vertices)
+            eps = []
+            for copy, tag in enumerate(("prime", "double_prime")):
+                copy_ids = tuple(c for c in dg.combined.vertices if origin[c][0] == tag)
+                assert tuple(dg.copy_ids(copy)) == copy_ids
+                assert [dg.base_id(c) for c in copy_ids] == [origin[c][1] for c in copy_ids]
+                got = classify_property1(emb, dg.copy_ids(copy), POSITIONAL_TH)
+                assert got == reference_classify(ref, copy_ids, POSITIONAL_TH)
+                assert threshold_cut(emb, dg.copy_ids(copy)) == reference_cut(ref, copy_ids)
+                sub = induced_subgraph(dg.combined, copy_ids)
+                eps.append(build_epsilon_subgraph(emb, sub, POSITIONAL_TH))
+                assert eps[-1] == reference_band(ref, sub, POSITIONAL_TH)
+            other_edge = eps[1].graph.edges[0] if eps[1].graph.edges else None
+            for anchor in (other_edge, None, (n, n + 1)):
+                probe = odd_cycle_probe(emb, eps[0], anchor, 0.004)
+                assert probe == reference_probe(ref, eps[0], anchor, 0.004)
+                if probe.bipartite:
+                    # the bipartite step reads its coloring from the probe
+                    assert Bipartition(*map(frozenset, probe.classes)) == find_odd_cycle(eps[0].graph)
+        a = analyze_doubled(dg, gram, POSITIONAL_TH)
+        ref = LabelEmbedding(extract_vectors(gram).vectors, dg.combined.vertices)
+        assert (a.rep_p, a.rep_d) == tuple(
+            reference_classify(ref, [c for c in origin if origin[c][0] == tag], POSITIONAL_TH)
+            for tag in ("prime", "double_prime")
+        )
+
+    def test_cases_hit_the_band_edges_and_both_probe_outcomes(self):
+        exact_half = exact_top = odd = bipartite = 0
+        for seed in range(16):
+            base, rows = random_doubled_case(seed)
+            emb = embedding_of(rows)
+            exact_half += emb.origin.count(0.5)
+            exact_top += emb.origin.count(POSITIONAL_TH.band_top)
+            dg = duplicate_join(base)
+            eps = build_epsilon_subgraph(emb, induced_subgraph(dg.combined, dg.copy_ids(0)), POSITIONAL_TH)
+            if odd_cycle_probe(emb, eps, None).bipartite:
+                bipartite += 1
+            else:
+                odd += 1
+        assert exact_half and exact_top and odd and bipartite

@@ -49,12 +49,13 @@ def reference_build_sdp_doubled(dg):
     d = comb.n + 1
     lo = np.zeros((d, d))
     hi = np.ones((d, d))
-    prime = np.array([pos[c] for c in dg.copy_ids("prime")], dtype=int)
-    dprime = np.array([pos[c] for c in dg.copy_ids("double_prime")], dtype=int)
+    n = dg.base.n
+    prime = np.array([pos[c] for c in comb.vertices if c < n], dtype=int)
+    dprime = np.array([pos[c] for c in comb.vertices if c >= n], dtype=int)
     lo[np.ix_(prime, dprime)] = -1.0
     lo[np.ix_(dprime, prime)] = -1.0
     np.fill_diagonal(lo, 1.0)
-    return d, con_i, con_j, lo, hi, comb.vertices
+    return d, con_i, con_j, lo, hi
 
 
 DOUBLED_BASES = {
@@ -72,8 +73,9 @@ class TestBuildDoubled:
     def test_matches_reference_builder(self, g):
         dg = duplicate_join(g)
         p = build_sdp_doubled(dg)
-        d, con_i, con_j, lo, hi, labels = reference_build_sdp_doubled(dg)
-        assert p.dim == d and p.labels == labels
+        d, con_i, con_j, lo, hi = reference_build_sdp_doubled(dg)
+        # matrix index c + 1 is combined vertex c
+        assert p.dim == d and dg.combined.vertices == tuple(range(d - 1))
         for got, want in ((p.con_i, con_i), (p.con_j, con_j), (p.lo, lo), (p.hi, hi)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -172,28 +174,35 @@ class TestExtractVectors:
         emb = extract_vectors(gs)
         for i in range(3):
             for j in range(3):
-                assert emb.products(i, j) == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
+                assert float(emb.vectors[i] @ emb.vectors[j]) == pytest.approx(1.0 if i == j else 0.0, abs=1e-9)
+        assert emb.origin == pytest.approx((0.0, 0.0), abs=1e-9)
 
     def test_all_ones_gram(self):
         gs = GramSolution(np.ones((3, 3)), 2.0, 0.0, 0.0, 0.0, 1, True)
         emb = extract_vectors(gs)
-        assert emb.products(0, 1) == pytest.approx(1.0, abs=1e-9)
-        assert emb.products(1, 2) == pytest.approx(1.0, abs=1e-9)
+        assert emb.origin == pytest.approx((1.0, 1.0), abs=1e-9)
+        assert float(emb.vectors[1] @ emb.vectors[2]) == pytest.approx(1.0, abs=1e-9)
 
     def test_k2_solution_products(self):
         gs = admm_solve(build_sdp_single(complete_graph(2)), FAST)
-        emb = extract_vectors(gs, labels=(1, 2))
-        assert emb.product_with_origin(1) == pytest.approx(0.5, abs=1e-3)
-        assert emb.product_with_origin(2) == pytest.approx(0.5, abs=1e-3)
-        assert emb.products(1, 2) == pytest.approx(0.0, abs=1e-3)
+        emb = extract_vectors(gs)
+        assert emb.origin == pytest.approx((0.5, 0.5), abs=1e-3)
+        assert float(emb.vectors[1] @ emb.vectors[2]) == pytest.approx(0.0, abs=1e-3)
 
     def test_unit_norms_and_faithfulness(self):
         gs = admm_solve(build_sdp_single(cycle_graph(5)), FAST)
-        emb = extract_vectors(gs, labels=cycle_graph(5).vertices)
+        emb = extract_vectors(gs)
         norms = np.linalg.norm(emb.vectors, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-6
         recon = emb.vectors @ emb.vectors.T
         assert np.max(np.abs(recon - gs.matrix)) <= 1e-4
+
+    def test_origin_is_each_rows_product_with_row_zero(self):
+        gs = admm_solve(build_sdp_doubled(duplicate_join(random_gnp(6, 0.5, seed=2))), FAST)
+        emb = extract_vectors(gs)
+        assert len(emb.origin) == 12
+        for v, p in enumerate(emb.origin):
+            assert p == float(emb.vectors[0] @ emb.vectors[v + 1])  # bit for bit
 
     def test_refuses_nonconverged(self):
         gs = GramSolution(np.eye(3), 0.0, 1.0, 0.0, 0.0, 10, False)
