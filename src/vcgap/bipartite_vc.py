@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArgumentError, ContractViolation
-from .graph_core import Bipartition, CoverPartition, Graph, verify_cover
+from .graph_core import Bipartition, Graph, verify_cover
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,28 @@ def max_matching(g: Graph, parts: Bipartition) -> Matching:
     left = sorted(parts.left)
     mate: dict[int, int] = {}  # right vertex -> left vertex
 
-    def try_augment(u: int, visited: set[int]) -> bool:
-        for w in g.adjacency[u]:
-            if w in visited:
+    def try_augment(root: int, visited: set[int]) -> bool:
+        # Depth-first over alternating paths with an explicit stack, so path
+        # length is not bounded by the recursion limit. Each frame is a left
+        # vertex and its remaining neighbors; trying[i] is the right vertex
+        # frame i currently tries. An unmatched right vertex ends the path,
+        # and every frame then takes the right vertex it was trying.
+        stack = [(root, iter(g.adjacency[root]))]
+        trying: list[int] = []
+        while stack:
+            w = next((x for x in stack[-1][1] if x not in visited), None)
+            if w is None:
+                stack.pop()
+                if trying:
+                    trying.pop()
                 continue
             visited.add(w)
-            if w not in mate or try_augment(mate[w], visited):
-                mate[w] = u
+            trying.append(w)
+            if w not in mate:
+                for (u, _), x in zip(stack, trying):
+                    mate[x] = u
                 return True
+            stack.append((mate[w], iter(g.adjacency[mate[w]])))
         return False
 
     for u in left:
@@ -62,7 +76,7 @@ def max_matching(g: Graph, parts: Bipartition) -> Matching:
     return Matching(edges)
 
 
-def konig_cover(g: Graph, parts: Bipartition, m: Matching) -> CoverPartition:
+def konig_cover(g: Graph, parts: Bipartition, m: Matching) -> frozenset[int]:
     """Minimum vertex cover from a maximum matching by alternating reachability.
 
     Grow the set reachable from unmatched left vertices along non-matching
@@ -91,18 +105,17 @@ def konig_cover(g: Graph, parts: Bipartition, m: Matching) -> CoverPartition:
                 reached.add(w)
                 frontier.append(w)
     cover = (left - reached) | (reached - left)
-    partition = CoverPartition.from_cover(g, cover)
-    ok, uncovered = verify_cover(g, partition)
-    if not ok:
+    uncovered = verify_cover(g, cover)
+    if uncovered:
         raise ContractViolation(f"alternating-path cover missed edges {uncovered[:5]}")
     if len(cover) != m.size:
         raise ContractViolation(
             f"cover size {len(cover)} != matching size {m.size}; matching not maximum?"
         )
-    return partition
+    return cover
 
 
-def maximal_matching_cover(g: Graph) -> CoverPartition:
+def maximal_matching_cover(g: Graph) -> frozenset[int]:
     """Both endpoints of a greedy maximal matching, taken in edge id order.
 
     Always feasible and at most twice the optimum.
@@ -112,8 +125,8 @@ def maximal_matching_cover(g: Graph) -> CoverPartition:
         if u not in used and v not in used:
             used.add(u)
             used.add(v)
-    partition = CoverPartition.from_cover(g, used)
-    ok, uncovered = verify_cover(g, partition)
-    if not ok:  # maximality of the greedy matching guarantees this never fires
+    cover = frozenset(used)
+    uncovered = verify_cover(g, cover)
+    if uncovered:  # maximality of the greedy matching guarantees this never fires
         raise ContractViolation(f"matching cover missed edges {uncovered[:5]}")
-    return partition
+    return cover

@@ -33,10 +33,15 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """A finite number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def check_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
     """Raise ArgumentError unless `value` is a finite non-bool number strictly
     inside (low, high)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if not is_real(value):
         raise ArgumentError(f"{name} must be a finite number, got {value!r}")
     if not low < value < high:
         raise ArgumentError(f"{name} must lie in ({low:g}, {high:g}), got {value!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .bipartite_vc import maximal_matching_cover
 from .errors import ArgumentError, ContractViolation
-from .graph_core import CoverPartition, Graph, verify_cover
+from .graph_core import Graph, verify_cover
 
 STATUS_OPTIMAL = "optimal"
 STATUS_UNKNOWN = "unknown"
@@ -23,7 +23,7 @@ STATUS_UNKNOWN = "unknown"
 class ExactResult:
     status: str
     size: int | None
-    cover: CoverPartition | None
+    cover: frozenset[int] | None
     nodes_explored: int
 
 
@@ -36,7 +36,7 @@ def exact_vc(g: Graph, budget: int = 1_000_000) -> ExactResult:
     budget runs out."""
     adj = {v: set(ns) for v, ns in g.adjacency.items()}
     start = maximal_matching_cover(g)
-    best = [len(start.in_cover), set(start.in_cover)]
+    best = [len(start), set(start)]
     counter = [0]
 
     def matching_bound(a: dict[int, set[int]]) -> int:
@@ -103,11 +103,11 @@ def exact_vc(g: Graph, budget: int = 1_000_000) -> ExactResult:
         search(adj, set())
     except _Budget:
         return ExactResult(STATUS_UNKNOWN, None, None, counter[0])
-    partition = CoverPartition.from_cover(g, best[1])
-    ok, uncovered = verify_cover(g, partition)
-    if not ok:
+    cover = frozenset(best[1])
+    uncovered = verify_cover(g, cover)
+    if uncovered:
         raise ContractViolation(f"oracle produced an infeasible cover: {uncovered[:5]}")
-    return ExactResult(STATUS_OPTIMAL, best[0], partition, counter[0])
+    return ExactResult(STATUS_OPTIMAL, best[0], cover, counter[0])
 
 
 def exact_vc_enumerate(g: Graph, limit_n: int = 22) -> ExactResult:
@@ -117,8 +117,7 @@ def exact_vc_enumerate(g: Graph, limit_n: int = 22) -> ExactResult:
     verts = g.vertices
     for size in range(g.n + 1):
         for subset in itertools.combinations(verts, size):
-            partition = CoverPartition.from_cover(g, subset)
-            ok, _ = verify_cover(g, partition)
-            if ok:
-                return ExactResult(STATUS_OPTIMAL, size, partition, 0)
+            cover = frozenset(subset)
+            if not verify_cover(g, cover):
+                return ExactResult(STATUS_OPTIMAL, size, cover, 0)
     raise AssertionError("unreachable: the full vertex set always covers")

@@ -1,5 +1,6 @@
 """Immutable undirected graphs: DIMACS parsing, induced subgraphs, the
 doubled-graph construction, odd-cycle detection, and cover verification.
+A cover is the frozenset of the vertex ids in it.
 
 Vertex ids are stable integers that survive induced subgraphs; the doubled
 graph numbers its vertices by position, so combined vertices i and n+i are
@@ -93,23 +94,6 @@ class DoubledGraph:
 
     def base_id(self, combined_id: int) -> int:
         return self.base.vertices[combined_id % self.base.n]
-
-
-@dataclass(frozen=True)
-class CoverPartition:
-    """Vertex bipartition into a candidate cover and its complement."""
-
-    in_cover: frozenset[int]
-    out_cover: frozenset[int]
-
-    @property
-    def size(self) -> int:
-        return len(self.in_cover)
-
-    @staticmethod
-    def from_cover(g: Graph, cover: Iterable[int]) -> "CoverPartition":
-        inc = frozenset(cover)
-        return CoverPartition(inc, frozenset(g.vertices) - inc)
 
 
 def parse_dimacs(text: str | bytes) -> Graph:
@@ -279,15 +263,12 @@ def _check_odd_cycle(g: Graph, cycle: Sequence[int]) -> None:
             raise ContractViolation(f"({u},{v}) not an edge")
 
 
-def verify_cover(g: Graph, p: CoverPartition) -> tuple[bool, list[tuple[int, int]]]:
-    """Check that p.in_cover touches every edge; returns (ok, uncovered edges).
+def verify_cover(g: Graph, cover: frozenset[int]) -> list[tuple[int, int]]:
+    """Edges of g with neither endpoint in `cover`, in edge order.
 
-    Raises ArgumentError when p is not an exact partition of the vertex set.
+    Raises ArgumentError when the cover names a vertex g lacks.
     """
-    inc, out = p.in_cover, p.out_cover
-    if inc & out:
-        raise ArgumentError(f"partition overlaps: {sorted(inc & out)}")
-    if inc | out != set(g.vertices):
-        raise ArgumentError("partition does not cover the vertex set exactly")
-    uncovered = [(u, v) for u, v in g.edges if u not in inc and v not in inc]
-    return (not uncovered, uncovered)
+    foreign = [v for v in cover if v not in g.adjacency]
+    if foreign:
+        raise ArgumentError(f"cover names vertices not in the graph: {sorted(foreign)}")
+    return [(u, v) for u, v in g.edges if u not in cover and v not in cover]

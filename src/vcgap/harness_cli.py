@@ -156,7 +156,8 @@ def run_instance(spec: dict, cfg: PipelineConfig = PipelineConfig(), oracle_max_
         if not single.converged:
             row["trace"]["flags"].append("sdp_single_nonconverged")
         if single.converged and trace.sdp_converged and residual.n <= oracle_max_n:
-            res_oracle = exact_vc(residual, cfg.oracle_budget)
+            # without a kernel the residual is g itself, whose optimum is known
+            res_oracle = oracle if residual is g else exact_vc(residual, cfg.oracle_budget)
             if res_oracle.status == STATUS_OPTIMAL:
                 row["lemma2"] = check_lemma2_bounds(
                     single.objective_value,
@@ -204,12 +205,16 @@ def expand_corpus(corpus: list[dict]) -> list[dict]:
     return specs
 
 
-def run_batch(batch_doc: dict, jobs: int = 1) -> dict:
+def run_batch(batch_doc: dict, jobs: int | None = None) -> dict:
     """Run every corpus instance, merge rows by instance id, aggregate findings.
 
-    The spec is validated before any worker starts: unknown keys and a bad
-    pipeline config raise ArgumentError instead of failing every row."""
+    `jobs` worker processes run the rows: the argument, else the spec's
+    `jobs`, else 1. The spec is validated before any worker starts: unknown
+    keys, a `jobs` that is not an integer >= 1 and a bad pipeline config
+    raise ArgumentError instead of failing every row."""
     check_keys("batch spec", batch_doc, (), BATCH_KEYS)
+    jobs = batch_doc.get("jobs", 1) if jobs is None else jobs
+    check_int("jobs", jobs)
     cfg = config_from_dict(PipelineConfig, batch_doc.get("pipeline", {}), "pipeline.")
     oracle_max_n = batch_doc.get("oracle_max_n", 32)
     check_int("oracle_max_n", oracle_max_n, low=0)
@@ -467,9 +472,7 @@ def _dispatch(args) -> int:
     if args.command == "batch":
         batch_doc = _read_object(args.spec, "batch spec")
         batch_doc.setdefault("pipeline", cfg_doc)
-        jobs = args.jobs if args.jobs is not None else batch_doc.get("jobs", 1)
-        check_int("jobs", jobs)
-        table = run_batch(batch_doc, jobs)
+        table = run_batch(batch_doc, args.jobs)
         out_dir = args.out or "."
         paths = emit_report(table, args.format, out_dir)
         agg = table["aggregates"]
@@ -518,7 +521,7 @@ def _dispatch(args) -> int:
         if result.status != STATUS_OPTIMAL:
             print(f"{instance_id}: unknown (budget exhausted after {result.nodes_explored} nodes)")
             return 0
-        print(f"{instance_id}: optimum={result.size} cover={sorted(result.cover.in_cover)}")
+        print(f"{instance_id}: optimum={result.size} cover={sorted(result.cover)}")
         return 0
 
     # solve

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArgumentError, ContractViolation, SolverError, VcgapError
-from .graph_core import CoverPartition, Graph, induced_subgraph, verify_cover
+from .graph_core import Graph, induced_subgraph, verify_cover
 
 TAU_LP = 1e-7
 TAU_HALF = 1e-4
@@ -408,18 +408,14 @@ def nt_decompose(
     return decomp, residual
 
 
-def recombine(
-    d: HalfIntegralDecomposition, residual_cover: CoverPartition, original: Graph
-) -> CoverPartition:
+def recombine(d: HalfIntegralDecomposition, residual_cover: frozenset[int], original: Graph) -> frozenset[int]:
     """Lift a residual-graph cover back to the original graph.
 
     The level-one vertices join the cover, the level-zero vertices stay out.
-    The combined partition is verified against the original edge set.
+    The combined cover is verified against the original edge set.
     """
-    combined = CoverPartition(
-        residual_cover.in_cover | d.v_one, residual_cover.out_cover | d.v_zero
-    )
-    ok, uncovered = verify_cover(original, combined)
-    if not ok:
+    cover = residual_cover | d.v_one
+    uncovered = verify_cover(original, cover)
+    if uncovered:
         raise ContractViolation(f"recombined cover misses edges {uncovered[:5]}")
-    return combined
+    return cover

@@ -14,7 +14,6 @@ from .errors import ArgumentError, ContractViolation, check_int, check_real, is_
 from .exact_oracle import STATUS_OPTIMAL, ExactResult
 from .graph_core import (
     Bipartition,
-    CoverPartition,
     DoubledGraph,
     Graph,
     duplicate_join,
@@ -175,12 +174,12 @@ def _finish(
     trace: RunTrace,
     g: Graph,
     decomp: HalfIntegralDecomposition,
-    cover_h: CoverPartition,
+    cover_h: frozenset[int],
     t0: float,
 ) -> RunTrace:
     final = recombine(decomp, cover_h, g)
-    trace.in_cover = tuple(sorted(final.in_cover))
-    trace.cover_size = final.size
+    trace.in_cover = tuple(sorted(final))
+    trace.cover_size = len(final)
     trace.timings["total"] = time.perf_counter() - t0
     return trace
 
@@ -218,8 +217,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
 
     if h.m == 0:
         trace.step_taken = STEP_EDGELESS
-        cover_h = CoverPartition(frozenset(), frozenset(h.vertices))
-        return _finish(trace, g, decomp, cover_h, t0)
+        return _finish(trace, g, decomp, frozenset(), t0)
 
     t = time.perf_counter()
     dg = duplicate_join(h)
@@ -285,33 +283,27 @@ def analyze_doubled(dg: DoubledGraph, gram: GramSolution, th: Thresholds) -> Dou
 
 def _cut_copy(
     trace: RunTrace, step: str, a: DoubledAnalysis, copy_ids: range, h: Graph
-) -> CoverPartition:
+) -> frozenset[int]:
     """Threshold cut on one copy, verified on the working graph and repaired
     edge-by-edge when infeasible (possible because cross entries may push an
     edge's two products below one half simultaneously)."""
     dg = a.dg
-    cut = threshold_cut(a.emb, copy_ids, cut=0.5)
-    products = {dg.base_id(c): a.emb.origin[c] for c in copy_ids}
-    in_cover = {dg.base_id(c) for c in cut.in_cover}
-    partition = CoverPartition(frozenset(in_cover), frozenset(h.vertices) - frozenset(in_cover))
-    ok, uncovered = verify_cover(h, partition)
-    if not ok:
-        added = []
-        for u, v in uncovered:
-            pick = u if (products[u], -u) >= (products[v], -v) else v
-            if pick not in in_cover:
-                in_cover.add(pick)
-                added.append(pick)
-        partition = CoverPartition.from_cover(h, in_cover)
-        ok2, uncovered2 = verify_cover(h, partition)
-        if not ok2:
-            raise ContractViolation(f"cut repair left edges uncovered: {uncovered2[:5]}")
+    cover = frozenset(map(dg.base_id, threshold_cut(a.emb, copy_ids, cut=0.5)))
+    uncovered = verify_cover(h, cover)
+    if uncovered:
+        products = {dg.base_id(c): a.emb.origin[c] for c in copy_ids}
+        # the higher-product endpoint of each uncovered edge; none is in the cut yet
+        added = {u if (products[u], -u) >= (products[v], -v) else v for u, v in uncovered}
+        cover |= added
+        uncovered = verify_cover(h, cover)
+        if uncovered:
+            raise ContractViolation(f"cut repair left edges uncovered: {uncovered[:5]}")
         trace.repairs.append({"step": step, "added": sorted(added)})
         trace.flags.append("cut_repaired")
     trace.step_taken = step
-    v0 = len(partition.out_cover)
+    v0 = h.n - len(cover)
     if v0 > 0:
-        cert = certify_theorem3(partition.size, v0, h.n)
+        cert = certify_theorem3(len(cover), v0, h.n)
         if cert is not None:
             cert_d = cert.to_dict()
             cert_d["assumptions"].append(
@@ -319,12 +311,12 @@ def _cut_copy(
                 f"certifies the optimum assumption"
             )
             trace.certificates.append(cert_d)
-    return partition
+    return cover
 
 
 def _arbitrary_with_bound(
     trace: RunTrace, step: str, report, h: Graph, cfg: PipelineConfig
-) -> CoverPartition:
+) -> frozenset[int]:
     """Many products above the band: the optimum is pushed strictly above n/2,
     so any feasible cover earns a sub-2 bound; output the matching cover."""
     th = cfg.thresholds
@@ -345,7 +337,7 @@ def _arbitrary_with_bound(
     return maximal_matching_cover(h)
 
 
-def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: PipelineConfig) -> CoverPartition:
+def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: PipelineConfig) -> frozenset[int]:
     """Both product conditions hold: solve the band subgraph of the first copy
     exactly when bipartite, else record the odd-cycle probe and fall back."""
     eps, _, probe = a.band_probe(cfg.thresholds, cfg.anchor_edge, cfg.probe_tol)
@@ -360,18 +352,18 @@ def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: Pipeline
     coloring = Bipartition(*map(frozenset, probe.classes))
     matching = max_matching(eps.graph, coloring)
     eps_cover = konig_cover(eps.graph, coloring, matching)
-    in_combined = set(eps_cover.in_cover) | (set(a.dg.copy_ids(0)) - eps.v_eps)
-    partition = CoverPartition.from_cover(h, {a.dg.base_id(c) for c in in_combined})
-    ok, uncovered = verify_cover(h, partition)
-    if not ok:
+    in_combined = eps_cover | (set(a.dg.copy_ids(0)) - eps.v_eps)
+    cover = frozenset(map(a.dg.base_id, in_combined))
+    uncovered = verify_cover(h, cover)
+    if uncovered:
         raise ContractViolation(f"band-subgraph completion missed edges {uncovered[:5]}")
     trace.step_taken = STEP_BIPARTITE
-    v0 = len(partition.out_cover)
+    v0 = h.n - len(cover)
     if v0 > 0:
-        cert = certify_theorem3(partition.size, v0, h.n)
+        cert = certify_theorem3(len(cover), v0, h.n)
         if cert is not None:
             trace.certificates.append(cert.to_dict())
-    return partition
+    return cover
 
 
 def evaluate_ratio(
@@ -406,7 +398,7 @@ def two_approx_baseline(g: Graph) -> RunTrace:
     t0 = time.perf_counter()
     trace = RunTrace(SCHEMA_VERSION, g, g.n, g.m, step_taken=STEP_BASELINE)
     cover = maximal_matching_cover(g)
-    trace.in_cover = tuple(sorted(cover.in_cover))
-    trace.cover_size = cover.size
+    trace.in_cover = tuple(sorted(cover))
+    trace.cover_size = len(cover)
     trace.timings["total"] = time.perf_counter() - t0
     return trace

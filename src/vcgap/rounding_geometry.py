@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, check_real
-from .graph_core import Bipartition, CoverPartition, Graph, OddCycle, find_odd_cycle, induced_subgraph
+from .graph_core import Bipartition, Graph, OddCycle, find_odd_cycle, induced_subgraph
 from .sdp_solve import TAU_NORM, VectorEmbedding
 
 
@@ -90,15 +90,13 @@ def classify_property1(
     )
 
 
-def threshold_cut(emb: VectorEmbedding, vertex_ids: Iterable[int], cut: float = 0.5) -> CoverPartition:
-    """Partition ids by origin product: strictly below the cut goes out.
+def threshold_cut(emb: VectorEmbedding, vertex_ids: Iterable[int], cut: float = 0.5) -> frozenset[int]:
+    """The ids whose origin product is not strictly below the cut.
 
     The result is NOT guaranteed to be a feasible cover; callers must verify
     it against the edge set and repair or fall back when it is not.
     """
-    ids = list(vertex_ids)
-    out = frozenset(v for v in ids if emb.origin[v] < cut)
-    return CoverPartition(frozenset(ids) - out, out)
+    return frozenset(v for v in vertex_ids if not emb.origin[v] < cut)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, get_lapack_funcs
 
-from .errors import ArgumentError, SolverError, VcgapError, check_int, check_keys, check_real
+from .errors import ArgumentError, SolverError, VcgapError, check_int, check_keys, check_real, is_real
 from .graph_core import DoubledGraph, Graph
 
 TAU_FEAS = 1e-5
@@ -103,13 +103,20 @@ class GramSolution:
 
 def gram_from_json(text: str) -> GramSolution:
     """Inverse of GramSolution.to_json. Raises ArgumentError naming the key
-    when one is missing or unknown, or `matrix` is not dim * dim numbers."""
+    when one is missing or unknown, `matrix` is not dim * dim finite numbers,
+    a float field is not a finite number, `iterations` is not an integer
+    >= 0 or `converged` is not a bool."""
     doc = json.loads(text)
     check_keys("gram", doc, ["dim"] + [f.name for f in fields(GramSolution)])
     d, matrix = doc["dim"], doc["matrix"]
     check_int("gram.dim", d)
-    if not isinstance(matrix, list) or len(matrix) != d * d or not all(isinstance(x, (int, float)) for x in matrix):
-        raise ArgumentError(f"gram.matrix must be a list of dim * dim = {d * d} numbers")
+    if not isinstance(matrix, list) or len(matrix) != d * d or not all(map(is_real, matrix)):
+        raise ArgumentError(f"gram.matrix must be a list of dim * dim = {d * d} finite numbers")
+    for key in ("objective_value", "max_equality_violation", "max_box_violation", "min_eigenvalue"):
+        check_real(f"gram.{key}", doc[key])
+    check_int("gram.iterations", doc["iterations"], low=0)
+    if not isinstance(doc["converged"], bool):
+        raise ArgumentError(f"gram.converged must be true or false, got {doc['converged']!r}")
     return GramSolution(
         matrix=np.array(matrix, dtype=float).reshape(d, d),
         objective_value=float(doc["objective_value"]),
@@ -356,11 +363,11 @@ def extract_vectors(gs: GramSolution, tau_factor: float = TAU_FACTOR) -> VectorE
     w, q = np.linalg.eigh(M)
     vectors = q * np.sqrt(np.maximum(w, 0.0))
     norms = np.linalg.norm(vectors, axis=1)
-    if np.any(norms < 0.5):
+    if not np.all(norms >= 0.5):  # written so that a NaN norm fails too
         raise ExtractionError(f"degenerate row norm {norms.min():.3g}; diagonal should be 1")
     vectors = vectors / norms[:, None]
     err = float(np.max(np.abs(vectors @ vectors.T - M)))
-    if err > tau_factor:
+    if not err <= tau_factor:
         raise ExtractionError(f"reconstruction error {err:.3g} exceeds {tau_factor:g}")
     # a dot product per row: a matrix-vector product can round differently and flip a 0.5 decision
     return VectorEmbedding(vectors, tuple(float(vectors[0] @ vectors[v + 1]) for v in range(d - 1)))

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from vcgap.graph_core import CoverPartition, Graph, verify_cover
+from vcgap.graph_core import Graph, verify_cover
 from vcgap.sdp_solve import VectorEmbedding
 
 
@@ -53,8 +53,7 @@ def brute_force_min_cover(g: Graph) -> int:
     """Smallest feasible cover by subset enumeration in increasing size."""
     for size in range(g.n + 1):
         for subset in itertools.combinations(g.vertices, size):
-            ok, _ = verify_cover(g, CoverPartition.from_cover(g, subset))
-            if ok:
+            if not verify_cover(g, frozenset(subset)):
                 return size
     raise AssertionError("unreachable")
 

@@ -10,7 +10,7 @@ import pytest
 from helpers import complete_graph
 from vcgap.bipartite_vc import konig_cover, max_matching
 from vcgap.exact_oracle import STATUS_OPTIMAL, exact_vc
-from vcgap.graph_core import Bipartition, CoverPartition, find_odd_cycle, verify_cover
+from vcgap.graph_core import Bipartition, find_odd_cycle, verify_cover
 from vcgap.harness_cli import generate_graph, run_batch, table_to_csv
 from vcgap.lp_relax import (
     build_vc_lp,
@@ -77,7 +77,7 @@ def test_acceptance_2_kernel_correctness():
         assert opt_g.status == opt_res.status == STATUS_OPTIMAL
         assert opt_g.size == len(decomp.v_one) + opt_res.size
         combined = recombine(decomp, opt_res.cover, g)  # raises if infeasible
-        assert combined.size == opt_g.size
+        assert len(combined) == opt_g.size
         checked += 1
     print(
         f"\nACCEPTANCE 2 (kernel optimality preservation): PASS - exact(g) = |V1| + "
@@ -169,7 +169,7 @@ def test_acceptance_6_bipartite_exactness():
         assert isinstance(parts, Bipartition)
         matching = max_matching(g, parts)
         cover = konig_cover(g, parts, matching)
-        assert cover.size == matching.size == exact_vc(g).size
+        assert len(cover) == matching.size == exact_vc(g).size
         checked += 1
     print(
         f"\nACCEPTANCE 6 (alternating-path exactness): PASS - cover = matching = "
@@ -198,8 +198,7 @@ def test_acceptance_7_pipeline_feasibility_and_ratio():
     for model, n, p, seed in specs:
         g = generate_graph(model, n, p, seed)
         trace = evaluate_ratio(mahdis_run(g), exact_vc(g))
-        ok, _ = verify_cover(g, CoverPartition.from_cover(g, trace.in_cover))
-        assert ok, f"infeasible cover on {model}-n{n}-p{p}-s{seed}"
+        assert verify_cover(g, frozenset(trace.in_cover)) == [], f"infeasible cover on {model}-n{n}-p{p}-s{seed}"
         assert trace.empirical_ratio is not None
         assert trace.empirical_ratio <= 2.0 + 1e-9
         worst = max(worst, trace.empirical_ratio)
@@ -243,8 +242,7 @@ def test_acceptance_9_desk_scale_runtime():
     trace = evaluate_ratio(mahdis_run(g), exact_vc(g))
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
-    ok, _ = verify_cover(g, CoverPartition.from_cover(g, trace.in_cover))
-    assert ok
+    assert verify_cover(g, frozenset(trace.in_cover)) == []
     assert trace.z_sdp_doubled is not None  # the doubled solve (dim 61) really ran
     print(
         f"\nACCEPTANCE 9 (desk-scale runtime): PASS - n=30 end-to-end in {elapsed:.1f}s "

@@ -19,6 +19,26 @@ def bipartite_k(a: int, b: int) -> Graph:
     return Graph.build(range(a + b), [(i, a + j) for i in range(a) for j in range(b)])
 
 
+def recursive_max_matching(g: Graph, parts: Bipartition) -> Matching:
+    """The augmenting-path search written recursively, one call per path step:
+    the reference the explicit-stack search in max_matching must reproduce."""
+    mate: dict[int, int] = {}
+
+    def try_augment(u: int, visited: set[int]) -> bool:
+        for w in g.adjacency[u]:
+            if w in visited:
+                continue
+            visited.add(w)
+            if w not in mate or try_augment(mate[w], visited):
+                mate[w] = u
+                return True
+        return False
+
+    for u in sorted(parts.left):
+        try_augment(u, set())
+    return Matching(frozenset((min(u, w), max(u, w)) for w, u in mate.items()))
+
+
 class TestMaxMatching:
     def test_path_three(self):
         g = path_graph(3)
@@ -43,6 +63,29 @@ class TestMaxMatching:
         assert len(used) == len(set(used))
         assert all(e in g.edges for e in m.edges)
 
+    def test_long_augmenting_paths(self):
+        # each left vertex's search walks back along the whole path matched so
+        # far, so the recursive search needs ~1,500 frames and overflows
+        g = path_graph(3000, start=0)
+        parts = find_odd_cycle(g)
+        with pytest.raises(RecursionError):
+            recursive_max_matching(g, parts)
+        m = max_matching(g, parts)
+        assert m.size == 1500
+        assert len(konig_cover(g, parts, m)) == 1500
+
+    def test_equals_recursive_search(self):
+        rng = np.random.default_rng(7)
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            g = generate_graph("bipartite_gnp", n, float(rng.random()), seed=int(rng.integers(1 << 30)))
+            # relabeled to ids that are not positions
+            ids = [int(v) for v in rng.permutation(1000)[:n]]
+            g = Graph.build(ids, [(ids[u], ids[v]) for u, v in g.edges])
+            parts = find_odd_cycle(g)
+            for sides in (parts, Bipartition(parts.right, parts.left)):
+                assert max_matching(g, sides) == recursive_max_matching(g, sides)
+
     def test_invalid_parts_rejected(self):
         g = path_graph(3)
         with pytest.raises(ArgumentError):
@@ -56,19 +99,19 @@ class TestKonigCover:
         g = path_graph(3)
         parts = find_odd_cycle(g)
         cover = konig_cover(g, parts, max_matching(g, parts))
-        assert cover.in_cover == {2}
+        assert cover == {2}
 
     def test_c6_size_three(self):
         g = cycle_graph(6)
         parts = find_odd_cycle(g)
         cover = konig_cover(g, parts, max_matching(g, parts))
-        assert cover.size == 3 == brute_force_min_cover(g)
+        assert len(cover) == 3 == brute_force_min_cover(g)
 
     def test_single_edge(self):
         g = complete_graph(2)
         parts = find_odd_cycle(g)
         cover = konig_cover(g, parts, max_matching(g, parts))
-        assert cover.size == 1
+        assert len(cover) == 1
 
     def test_equality_on_random_bipartite(self):
         rng = np.random.default_rng(83)
@@ -79,24 +122,23 @@ class TestKonigCover:
             assert isinstance(parts, Bipartition)
             m = max_matching(g, parts)
             cover = konig_cover(g, parts, m)
-            assert cover.size == m.size == brute_force_min_cover(g)
-            ok, _ = verify_cover(g, cover)
-            assert ok
+            assert len(cover) == m.size == brute_force_min_cover(g)
+            assert verify_cover(g, cover) == []
 
 
 class TestMaximalMatchingCover:
     def test_k2_takes_both(self):
         cover = maximal_matching_cover(complete_graph(2))
-        assert cover.in_cover == {1, 2}
+        assert cover == {1, 2}
 
     def test_k3_size_two(self):
-        assert maximal_matching_cover(complete_graph(3)).size == 2
+        assert len(maximal_matching_cover(complete_graph(3))) == 2
 
     def test_edgeless_empty(self):
-        assert maximal_matching_cover(Graph.build(range(4), [])).size == 0
+        assert maximal_matching_cover(Graph.build(range(4), [])) == frozenset()
 
     def test_c5_two_matched_edges(self):
-        assert maximal_matching_cover(cycle_graph(5)).size == 4
+        assert len(maximal_matching_cover(cycle_graph(5))) == 4
 
     def test_within_factor_two_of_optimum(self):
         rng = np.random.default_rng(89)
@@ -104,6 +146,5 @@ class TestMaximalMatchingCover:
             n = int(rng.integers(1, 13))
             g = random_gnp(n, float(rng.random()), seed=int(rng.integers(1 << 30)))
             cover = maximal_matching_cover(g)
-            ok, _ = verify_cover(g, cover)
-            assert ok
-            assert cover.size <= 2 * brute_force_min_cover(g)
+            assert verify_cover(g, cover) == []
+            assert len(cover) <= 2 * brute_force_min_cover(g)

@@ -28,8 +28,8 @@ class TestExactVc:
         for _ in range(20):
             g = random_gnp(int(rng.integers(1, 15)), float(rng.random()), seed=int(rng.integers(1 << 30)))
             result = exact_vc(g)
-            ok, _ = verify_cover(g, result.cover)
-            assert ok
+            assert verify_cover(g, result.cover) == []
+            assert len(result.cover) == result.size
 
     def test_branch_and_bound_equals_enumeration(self):
         rng = np.random.default_rng(101)

@@ -7,7 +7,6 @@ from helpers import brute_force_is_bipartite, complete_graph, cycle_graph, rando
 from vcgap.errors import ArgumentError, ContractViolation, ParseError
 from vcgap.graph_core import (
     Bipartition,
-    CoverPartition,
     Graph,
     OddCycle,
     _check_odd_cycle,
@@ -202,34 +201,24 @@ class TestFindOddCycle:
 
 class TestVerifyCover:
     def test_k3_two_vertices(self):
-        ok, uncovered = verify_cover(complete_graph(3), CoverPartition.from_cover(complete_graph(3), {1, 2}))
-        assert ok and uncovered == []
+        assert verify_cover(complete_graph(3), frozenset({1, 2})) == []
 
     def test_k3_one_vertex(self):
-        ok, uncovered = verify_cover(complete_graph(3), CoverPartition.from_cover(complete_graph(3), {1}))
-        assert not ok and uncovered == [(2, 3)]
+        assert verify_cover(complete_graph(3), frozenset({1})) == [(2, 3)]
 
     def test_c5_alternating(self):
-        g = cycle_graph(5)
-        ok, _ = verify_cover(g, CoverPartition.from_cover(g, {1, 3, 5}))
-        assert ok
+        assert verify_cover(cycle_graph(5), frozenset({1, 3, 5})) == []
 
-    def test_rejects_overlapping_partition(self):
+    def test_rejects_foreign_vertex(self):
         g = complete_graph(3)
-        with pytest.raises(ArgumentError):
-            verify_cover(g, CoverPartition(frozenset({1, 2}), frozenset({2, 3})))
-
-    def test_rejects_incomplete_partition(self):
-        g = complete_graph(3)
-        with pytest.raises(ArgumentError):
-            verify_cover(g, CoverPartition(frozenset({1}), frozenset({2})))
+        with pytest.raises(ArgumentError, match=r"\[0, 4\]"):
+            verify_cover(g, frozenset({1, 4, 0}))
 
     def test_agrees_with_direct_enumeration(self):
         rng = np.random.default_rng(31)
         for _ in range(40):
             n = int(rng.integers(1, 12))
             g = random_gnp(n, float(rng.random()), seed=int(rng.integers(1 << 30)))
-            cover = {int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)}
-            ok, uncovered = verify_cover(g, CoverPartition.from_cover(g, cover))
+            cover = frozenset(int(v) for v in rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
             direct = [(u, v) for u, v in g.edges if u not in cover and v not in cover]
-            assert uncovered == direct and ok == (not direct)
+            assert verify_cover(g, cover) == direct

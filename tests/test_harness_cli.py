@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import complete_graph
+from vcgap import harness_cli
 from vcgap.errors import ArgumentError
 from vcgap.graph_core import Bipartition, OddCycle, find_odd_cycle, parse_dimacs, write_dimacs
 from vcgap.harness_cli import (
@@ -89,7 +90,40 @@ BAD_BATCHES = {
     "parameter-nan": ({"corpus": [dict(GEN_ENTRY, parameter=float("nan"))]}, "parameter"),
     "parameter-bool": ({"corpus": [dict(GEN_ENTRY, parameter=True)]}, "parameter"),
     "non-object": ([GEN_ENTRY], "batch spec"),
+    "jobs-string": ({"corpus": [GEN_ENTRY], "jobs": "x"}, "jobs"),
+    "jobs-zero": ({"corpus": [GEN_ENTRY], "jobs": 0}, "jobs"),
+    "jobs-float": ({"corpus": [GEN_ENTRY], "jobs": 2.0}, "jobs"),
+    "jobs-bool": ({"corpus": [GEN_ENTRY], "jobs": True}, "jobs"),
 }
+# two edgeless instances: quick rows, and enough of them for a worker pool
+EDGELESS_PAIR = {"model": "gnp", "n": 3, "parameter": 0.0, "seed": 1, "count": 2}
+
+
+def _record_pools(monkeypatch) -> list[int]:
+    """Swap the batch worker pool for a serial stand-in; returns the list that
+    each opened pool's worker count is appended to."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(harness_cli, "ProcessPoolExecutor", SerialPool)
+    return opened
+
+
+def _forbid_workers(monkeypatch) -> None:
+    monkeypatch.setattr(harness_cli, "ProcessPoolExecutor", lambda *a, **k: pytest.fail("a worker pool opened"))
+    monkeypatch.setattr(harness_cli, "_worker", lambda args: pytest.fail("an instance ran"))
 
 
 class TestBatchSpecValidation:
@@ -155,6 +189,21 @@ class TestRunBatch:
         assert main(["solve", str(dimacs)]) == 2
         assert "ExtractionError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("arg,spec_jobs,used", [(None, 3, 3), (2, 3, 2), (1, 3, 1), (None, None, 1)])
+    def test_jobs_from_argument_else_spec_else_one(self, arg, spec_jobs, used, monkeypatch):
+        pools = _record_pools(monkeypatch)
+        doc = {"corpus": [EDGELESS_PAIR]} if spec_jobs is None else {"corpus": [EDGELESS_PAIR], "jobs": spec_jobs}
+        table = run_batch(doc) if arg is None else run_batch(doc, arg)
+        assert len(table["rows"]) == 2
+        assert pools == ([] if used == 1 else [used])
+
+    @pytest.mark.parametrize("arg,spec_jobs", [(0, 2), (-5, None), ("2", None), (2.0, None), (True, None), (None, "x")])
+    def test_bad_jobs_raise_before_any_worker(self, arg, spec_jobs, monkeypatch):
+        _forbid_workers(monkeypatch)
+        doc = {"corpus": [EDGELESS_PAIR]} if spec_jobs is None else {"corpus": [EDGELESS_PAIR], "jobs": spec_jobs}
+        with pytest.raises(ArgumentError, match="jobs"):
+            run_batch(doc, arg)
+
     def test_instance_failure_recorded_not_raised(self):
         table = run_batch({"corpus": [{"file": "/nonexistent/never.dimacs", "id": "gone"}]})
         assert table["aggregates"]["failures"][0]["instance_id"] == "gone"
@@ -215,6 +264,18 @@ class TestRunInstance:
         assert row["lemma2"] is not None
         assert row["lemma2"]["consistent"]
 
+    @pytest.mark.parametrize("spec,sizes", [
+        ({"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11}, [8]),  # no kernel: the residual is g
+        ({"model": "gnp", "n": 9, "parameter": 0.25, "seed": 3}, [9, 8]),  # the kernel removed a vertex
+    ])
+    def test_one_oracle_call_per_graph(self, spec, sizes, monkeypatch):
+        exact = harness_cli.exact_vc
+        calls = []
+        monkeypatch.setattr(harness_cli, "exact_vc", lambda g, *args: calls.append(g.n) or exact(g, *args))
+        row = run_instance(spec)
+        assert row["lemma2"] is not None
+        assert calls == sizes
+
     def test_oracle_skipped_above_limit(self):
         row = run_instance({"model": "gnp", "n": 8, "parameter": 0.3, "seed": 1}, oracle_max_n=4)
         assert row["trace"]["empirical_ratio"] is None
@@ -231,6 +292,14 @@ def _drop(path):
     return lambda doc: functools.reduce(dict.__getitem__, keys, doc).pop(last)
 
 
+def _eye3_with(value):
+    """The probe document's 3 x 3 identity Gram, row-major, with entries
+    (0, 1) and (1, 0) set to `value`."""
+    matrix = np.eye(3).ravel().tolist()
+    matrix[1] = matrix[3] = value
+    return matrix
+
+
 BAD_PROBES = {
     "lacks-graph": (_drop(["graph"]), "graph"),
     "lacks-gram": (_drop(["gram"]), "gram"),
@@ -244,6 +313,17 @@ BAD_PROBES = {
     "matrix-not-dim-squared": (_set(["gram", "matrix"], [1.0] * 8), "matrix"),
     "dim-not-n-plus-1": (_set(["gram"], json.loads(GramSolution(np.eye(4), 0, 0, 0, 1, 1, True).to_json())), "gram.dim"),
     "dim-not-2n-plus-1": (_set(["doubled"], True), "gram.dim"),
+    "matrix-nan": (_set(["gram", "matrix"], _eye3_with(float("nan"))), "matrix"),
+    "matrix-inf": (_set(["gram", "matrix"], _eye3_with(float("inf"))), "matrix"),
+    "matrix-bools": (_set(["gram", "matrix"], [bool(v) for v in np.eye(3).ravel()]), "matrix"),
+    "objective-string": (_set(["gram", "objective_value"], "x"), "objective_value"),
+    "objective-bool": (_set(["gram", "objective_value"], True), "objective_value"),
+    "box-violation-inf": (_set(["gram", "max_box_violation"], float("inf")), "max_box_violation"),
+    "min-eigenvalue-nan": (_set(["gram", "min_eigenvalue"], float("nan")), "min_eigenvalue"),
+    "iterations-negative": (_set(["gram", "iterations"], -1), "iterations"),
+    "iterations-fraction": (_set(["gram", "iterations"], 1.5), "iterations"),
+    "converged-string": (_set(["gram", "converged"], "false"), "converged"),
+    "converged-int": (_set(["gram", "converged"], 1), "converged"),
 }
 
 
@@ -268,36 +348,26 @@ class TestCliMain:
         assert (tmp_path / "out" / "report.csv").exists()
 
     @pytest.mark.parametrize("flag,spec_jobs,used", [(None, 2, 2), ("1", 2, 1), ("3", 2, 3), (None, None, 1)])
-    def test_batch_jobs_flag_wins_over_spec(self, flag, spec_jobs, used, tmp_path, monkeypatch):
-        from vcgap import harness_cli
-
-        seen = []
-
-        def recording_run_batch(doc, jobs=1):
-            seen.append(jobs)
-            return {"schema_version": "1", "rows": [], "aggregates": harness_cli._aggregate([])}
-
-        monkeypatch.setattr(harness_cli, "run_batch", recording_run_batch)
-        doc = {"corpus": []} if spec_jobs is None else {"corpus": [], "jobs": spec_jobs}
+    def test_batch_jobs_flag_wins_over_spec(self, flag, spec_jobs, used, tmp_path, monkeypatch, capsys):
+        pools = _record_pools(monkeypatch)
+        doc = {"corpus": [EDGELESS_PAIR]} if spec_jobs is None else {"corpus": [EDGELESS_PAIR], "jobs": spec_jobs}
         spec = tmp_path / "batch.json"
         spec.write_text(json.dumps(doc))
         args = ["batch", str(spec), "--out", str(tmp_path / "out")] + (["--jobs", flag] if flag else [])
         assert main(args) == 0
-        assert seen == [used]
+        assert "batch: 2 instances" in capsys.readouterr().out
+        assert pools == ([] if used == 1 else [used])
 
     @pytest.mark.parametrize("flag", ["0", "-5"])
     def test_batch_jobs_below_one_exit_1(self, flag, tmp_path, capsys, monkeypatch):
-        from vcgap import harness_cli
-
-        monkeypatch.setattr(harness_cli, "run_batch", lambda *args: pytest.fail("run_batch was called"))
+        _forbid_workers(monkeypatch)
         spec = tmp_path / "batch.json"
-        spec.write_text(json.dumps({"corpus": [], "jobs": 2}))
+        spec.write_text(json.dumps({"corpus": [EDGELESS_PAIR], "jobs": 2}))
         assert main(["batch", str(spec), "--jobs", flag, "--out", str(tmp_path / "out")]) == 1
         assert "jobs" in capsys.readouterr().err
 
     def test_probe_command(self, tmp_path, capsys, monkeypatch):
         import vcgap.pipeline
-        from vcgap import harness_cli
 
         main(["gen", "--model", "odd_cycle_rich", "--n", "5", "--parameter", "0", "--seed", "1", "--out", str(tmp_path)])
         generated = capsys.readouterr().out.strip()
@@ -363,7 +433,6 @@ class TestCliMain:
         capsys.readouterr()
 
     def test_contract_violation_exit_2(self, tmp_path, capsys, monkeypatch):
-        from vcgap import harness_cli
         from vcgap.errors import ContractViolation
 
         def boom(*args, **kwargs):
@@ -400,8 +469,6 @@ class TestCliMain:
         assert "thresholds.band_top" in capsys.readouterr().err
 
     def test_half_integrality_violation_exit_2(self, tmp_path, capsys, monkeypatch):
-        from vcgap import harness_cli
-
         def off_grid(*args, **kwargs):
             raise HalfIntegralityViolation([(0, 0.3)])
 

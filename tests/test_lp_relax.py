@@ -15,7 +15,7 @@ from helpers import (
 from vcgap.bipartite_vc import maximal_matching_cover
 from vcgap.errors import ArgumentError, ContractViolation
 from vcgap.exact_oracle import exact_vc
-from vcgap.graph_core import CoverPartition, Graph
+from vcgap.graph_core import Graph
 from vcgap.lp_relax import (
     HalfIntegralityViolation,
     LpProblem,
@@ -266,15 +266,13 @@ class TestRecombine:
     def test_star_with_empty_residual_cover(self):
         g = star_graph(3)
         d, residual = nt_decompose(g)
-        cover = recombine(d, CoverPartition(frozenset(), frozenset()), g)
-        assert cover.in_cover == {1}
+        assert recombine(d, frozenset(), g) == {1}
         assert exact_vc(g).size == 1
 
     def test_k3_passthrough(self):
         g = complete_graph(3)
         d, residual = nt_decompose(g)
-        cover = recombine(d, CoverPartition(frozenset({1, 2}), frozenset({3})), g)
-        assert cover.in_cover == {1, 2}
+        assert recombine(d, frozenset({1, 2}), g) == {1, 2}
 
     def test_disjoint_union_k3_star(self):
         # K3 on 1..3 plus a 4-leaf star on 4..7: oracle optimum is 3.
@@ -283,13 +281,13 @@ class TestRecombine:
         assert d.v_one == {4} and set(residual.vertices) == {1, 2, 3}
         res_cover = exact_vc(residual).cover
         combined = recombine(d, res_cover, g)
-        assert combined.size == 3 == exact_vc(g).size
+        assert len(combined) == 3 == exact_vc(g).size
 
     def test_infeasible_residual_cover_rejected(self):
         g = complete_graph(3)
         d, _ = nt_decompose(g)
         with pytest.raises(ContractViolation):
-            recombine(d, CoverPartition(frozenset({1}), frozenset({2, 3})), g)
+            recombine(d, frozenset({1}), g)
 
     def test_ratio_transfer(self):
         # A residual cover at ratio rho recombines to a cover at ratio <= rho.
@@ -302,7 +300,7 @@ class TestRecombine:
             opt_g = exact_vc(g).size
             opt_res = exact_vc(residual).size
             if opt_g == 0:
-                assert combined.size == 0
+                assert len(combined) == 0
                 continue
-            rho_res = res_cover.size / opt_res if opt_res else 1.0
-            assert combined.size / opt_g <= rho_res + 1e-9
+            rho_res = len(res_cover) / opt_res if opt_res else 1.0
+            assert len(combined) / opt_g <= rho_res + 1e-9

@@ -9,11 +9,15 @@ decision (step, cover size, flags or certificates) on the tiny pools.
 """
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import vcgap.harness_cli
+import vcgap.pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -27,3 +31,12 @@ def test_traced_tiny_run_passes_its_checks(workload):
     assert result["failed"] == 0 and result["attempted"] > 0
     # every cover matches the stored decision fingerprint of its relabeling
     assert result["metrics"]["decision_drift"]["value"] == 0
+
+
+def test_wrapped_names_resolve():
+    # The tracer wraps module globals by name; a name the modules no longer
+    # import is skipped silently, its time then counted as pipeline self time.
+    spans = runpy.run_path(str(ROOT / "perfbench" / "spans.py"))  # compiled in memory, nothing written
+    modules = (vcgap.pipeline, vcgap.harness_cli)
+    assert [n for n in spans["LAYER_OF"] if not any(hasattr(m, n) for m in modules)] == []
+    assert [n for n in spans["STAGE_OF"] if not hasattr(vcgap.pipeline, n)] == []

@@ -8,7 +8,7 @@ import pytest
 from helpers import complete_graph, cycle_graph, embedding_of, random_gnp, star_graph
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import ExactResult, exact_vc
-from vcgap.graph_core import CoverPartition, Graph, duplicate_join, verify_cover, write_dimacs
+from vcgap.graph_core import Graph, duplicate_join, verify_cover, write_dimacs
 from vcgap.harness_cli import generate_graph, main
 from vcgap.pipeline import (
     STEP_ARBITRARY_PRIME,
@@ -69,9 +69,7 @@ class TestMahdisRun:
             n = int(rng.integers(1, 13))
             g = random_gnp(n, float(rng.random() * 0.85 + 0.05), seed=int(rng.integers(1 << 30)))
             trace = mahdis_run(g)
-            partition = CoverPartition.from_cover(g, trace.in_cover)
-            ok, _ = verify_cover(g, partition)
-            assert ok
+            assert verify_cover(g, frozenset(trace.in_cover)) == []
 
     def test_kernelization_gate(self):
         # stars push the relaxation below n/2; the complete graph sits at n/2
@@ -87,8 +85,7 @@ class TestMahdisRun:
         trace = run_with_oracle(cycle_graph(5), cfg)
         assert trace.step_taken == STEP_SDP_FALLBACK
         assert "sdp_nonconverged" in trace.flags
-        ok, _ = verify_cover(cycle_graph(5), CoverPartition.from_cover(cycle_graph(5), trace.in_cover))
-        assert ok
+        assert verify_cover(cycle_graph(5), frozenset(trace.in_cover)) == []
 
     def test_theorem6_violation_path_on_widened_band(self):
         # The doubled five-cycle relaxes to uniform products around 0.553;
@@ -118,8 +115,7 @@ class TestMahdisRun:
         trace = run_with_oracle(g, cfg)
         assert trace.step_taken == STEP_BIPARTITE
         assert trace.empirical_ratio <= 2.0
-        ok, _ = verify_cover(g, CoverPartition.from_cover(g, trace.in_cover))
-        assert ok
+        assert verify_cover(g, frozenset(trace.in_cover)) == []
         assert trace.certificates and trace.certificates[-1]["source"] == "theorem3"
 
     def test_arbitrary_step_without_margin_emits_no_certificate(self, tmp_path, capsys):
@@ -131,8 +127,8 @@ class TestMahdisRun:
         trace = run_with_oracle(g, cfg)
         assert trace.step_taken == STEP_ARBITRARY_PRIME
         assert trace.flags == ["theorem2_no_margin"] and trace.certificates == []
-        ok, _ = verify_cover(g, CoverPartition.from_cover(g, trace.in_cover))
-        assert ok and trace.empirical_ratio <= 2.0
+        assert verify_cover(g, frozenset(trace.in_cover)) == []
+        assert trace.empirical_ratio <= 2.0
         dimacs, config = tmp_path / "g.dimacs", tmp_path / "cfg.json"
         dimacs.write_text(write_dimacs(g))
         config.write_text(json.dumps({"thresholds": th}))
@@ -174,9 +170,8 @@ class TestCutRepair:
             vectors[idx, idx] = np.sqrt(1 - p * p)
         trace = RunTrace("1", g, 2, 1, step_taken="")
         a = DoubledAnalysis(dg, embedding_of(vectors), None, None)
-        partition = _cut_copy(trace, STEP_CUT_PRIME, a, dg.copy_ids(0), g)
-        ok, _ = verify_cover(g, partition)
-        assert ok
+        cover = _cut_copy(trace, STEP_CUT_PRIME, a, dg.copy_ids(0), g)
+        assert verify_cover(g, cover) == []
         assert trace.repairs and trace.repairs[0]["step"] == STEP_CUT_PRIME
         assert "cut_repaired" in trace.flags
         # the higher-product endpoint (vertex 1 at 0.4) was chosen

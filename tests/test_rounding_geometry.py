@@ -7,7 +7,6 @@ from helpers import complete_graph, cycle_graph, embedding_of
 from vcgap.errors import ArgumentError
 from vcgap.graph_core import (
     Bipartition,
-    CoverPartition,
     Graph,
     duplicate_join,
     find_odd_cycle,
@@ -100,21 +99,22 @@ class TestThresholdCut:
     def test_k2_feasible_split(self):
         emb = embedding_from_products([0.3, 0.7])
         cut = threshold_cut(emb, (0, 1))
-        assert cut.out_cover == {0} and cut.in_cover == {1}
-        ok, _ = verify_cover(complete_graph(2, start=0), cut)
-        assert ok
+        assert cut == {1}
+        assert verify_cover(complete_graph(2, start=0), cut) == []
 
     def test_all_at_half_everything_in(self):
         emb = embedding_from_products([0.5] * 4)
-        cut = threshold_cut(emb, range(4))
-        assert cut.out_cover == frozenset()
+        assert threshold_cut(emb, range(4)) == frozenset(range(4))
+
+    def test_nan_product_is_not_below_the_cut(self):
+        emb = VectorEmbedding(np.eye(3), (float("nan"), 0.2))
+        assert threshold_cut(emb, (0, 1)) == {0}
 
     def test_both_below_is_infeasible_and_detected(self):
         emb = embedding_from_products([0.4, 0.4])
         cut = threshold_cut(emb, (0, 1))
-        assert cut.in_cover == frozenset()
-        ok, uncovered = verify_cover(complete_graph(2, start=0), cut)
-        assert not ok and uncovered == [(0, 1)]
+        assert cut == frozenset()
+        assert verify_cover(complete_graph(2, start=0), cut) == [(0, 1)]
 
 
 class TestCertificates:
@@ -375,7 +375,7 @@ def reference_classify(emb: LabelEmbedding, ids, th: Thresholds) -> PropertyRepo
 def reference_cut(emb: LabelEmbedding, ids, cut: float = 0.5):
     ids = list(ids)
     out = frozenset(v for v in ids if emb.product_with_origin(v) < cut)
-    return CoverPartition(frozenset(ids) - out, out)
+    return frozenset(ids) - out
 
 
 def reference_band(emb: LabelEmbedding, g: Graph, th: Thresholds) -> EpsilonSubgraph:

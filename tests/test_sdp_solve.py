@@ -216,6 +216,14 @@ class TestExtractVectors:
         with pytest.raises(ExtractionError):
             extract_vectors(gs, tau_factor=1e-4)
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_entry_raises(self, entry):
+        # every comparison with NaN is false, so the checks must be written to fail on it
+        bad = np.eye(3)
+        bad[0, 1] = bad[1, 0] = entry
+        with pytest.raises(ExtractionError):
+            extract_vectors(GramSolution(bad, 0.0, 0.0, 0.0, 0.0, 1, True))
+
 
 class TestLemma2:
     def test_k2_tight_bracket(self):
