@@ -17,6 +17,7 @@ from .graph_core import Graph, verify_cover
 
 STATUS_OPTIMAL = "optimal"
 STATUS_UNKNOWN = "unknown"
+NODE_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,7 @@ class _Budget(Exception):
     pass
 
 
-def exact_vc(g: Graph, budget: int = 1_000_000) -> ExactResult:
+def exact_vc(g: Graph, budget: int = NODE_BUDGET) -> ExactResult:
     """Provably minimum vertex cover, or an explicit unknown when the node
     budget runs out."""
     adj = {v: set(ns) for v, ns in g.adjacency.items()}
@@ -58,11 +59,10 @@ def exact_vc(g: Graph, budget: int = 1_000_000) -> ExactResult:
             a[w].discard(v)
 
     def search(a: dict[int, set[int]], chosen: set[int]) -> None:
+        # `a` and `chosen` are the node's own copies, reduced in place
         counter[0] += 1
         if counter[0] > budget:
             raise _Budget()
-        a = {v: set(ns) for v, ns in a.items()}
-        chosen = set(chosen)
         # reductions: drop isolated vertices, fold degree-one vertices
         changed = True
         while changed:

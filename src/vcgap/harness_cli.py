@@ -2,7 +2,7 @@
 emission for researchers running falsification sweeps.
 
 Subcommands: solve / exact / baseline / gen / batch / probe. A single JSON
-config document carries every tolerance and threshold;
+config document carries the experiment's tolerances and thresholds;
 the VCGAP_CONFIG environment variable supplies it when --config is absent.
 Exit codes: 0 success, 1 usage or input error, 2 contract violation (a
 finding worth investigating), 3 I/O failure.
@@ -34,6 +34,7 @@ from .exact_oracle import STATUS_OPTIMAL, exact_vc
 from .graph_core import Graph, duplicate_join, graph_from_json, parse_dimacs, write_dimacs
 from .lp_relax import HalfIntegralityViolation
 from .pipeline import (
+    DEFAULT_CONFIG,
     PipelineConfig,
     RunTrace,
     analyze_doubled,
@@ -133,7 +134,7 @@ def _instance_graph(spec: dict) -> Graph:
     return generate_graph(spec["model"], int(spec["n"]), float(spec["parameter"]), int(spec["seed"]))
 
 
-def run_instance(spec: dict, cfg: PipelineConfig = PipelineConfig(), oracle_max_n: int = 32) -> dict:
+def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n: int = 32) -> dict:
     """Full single-instance experiment: pipeline, oracle, baseline, and the
     single-graph relaxation of the working graph for the doubled-value bracket."""
     g = _instance_graph(spec)
@@ -552,7 +553,7 @@ def _probe_report(base: Graph, gram, doubled: bool, th: Thresholds, cfg: Pipelin
         eps = build_epsilon_subgraph(emb, base, th)
         return {"property": report.to_dict(), "epsilon_subgraph": eps.to_dict()}
     a = analyze_doubled(duplicate_join(base), gram, th)
-    eps, eps_other, probe = a.band_probe(th, cfg.anchor_edge, cfg.probe_tol)
+    eps, eps_other, probe = a.band_probe(th, cfg.probe_tol)
     return {
         "property_prime": a.rep_p.to_dict(),
         "property_double_prime": a.rep_d.to_dict(),

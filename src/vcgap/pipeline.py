@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .bipartite_vc import konig_cover, max_matching, maximal_matching_cover
-from .errors import ArgumentError, ContractViolation, check_int, check_real, is_int
-from .exact_oracle import STATUS_OPTIMAL, ExactResult
+from .errors import ArgumentError, ContractViolation, check_int, check_real
+from .exact_oracle import NODE_BUDGET, STATUS_OPTIMAL, ExactResult
 from .graph_core import (
     Bipartition,
     DoubledGraph,
@@ -21,7 +21,6 @@ from .graph_core import (
     verify_cover,
 )
 from .lp_relax import (
-    TAU_HALF,
     TAU_LP,
     HalfIntegralDecomposition,
     build_vc_lp,
@@ -31,6 +30,7 @@ from .lp_relax import (
 )
 from .rounding_geometry import (
     PAPER_THRESHOLDS,
+    PROBE_TOL,
     EpsilonSubgraph,
     OddCycleProbe,
     PropertyReport,
@@ -43,9 +43,10 @@ from .rounding_geometry import (
     theorem4_lower_bound,
     threshold_cut,
 )
-from .sdp_solve import GramSolution, SolverConfig, VectorEmbedding, admm_solve, build_sdp_doubled, extract_vectors
+from .sdp_solve import TAU_CMP, GramSolution, SolverConfig, VectorEmbedding, admm_solve, build_sdp_doubled, extract_vectors
 
 SCHEMA_VERSION = "1"
+TAU_RATIO = 1e-9
 
 STEP_CUT_PRIME = "step4_cut_prime"
 STEP_CUT_DOUBLE_PRIME = "step5_cut_doubleprime"
@@ -60,25 +61,17 @@ STEP_BASELINE = "baseline_matching"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    tau_lp: float = TAU_LP
-    tau_half: float = TAU_HALF
-    tau_ratio: float = 1e-9
-    tau_cmp: float = 1e-3
+    tau_ratio: float = TAU_RATIO
+    tau_cmp: float = TAU_CMP
     thresholds: Thresholds = PAPER_THRESHOLDS
     sdp: SolverConfig = SolverConfig()
-    probe_tol: float = 0.004
-    anchor_edge: tuple[int, int] | None = None
-    oracle_budget: int = 1_000_000
+    probe_tol: float = PROBE_TOL
+    oracle_budget: int = NODE_BUDGET
 
     def __post_init__(self):
-        for name in ("tau_lp", "tau_half", "tau_ratio", "tau_cmp", "probe_tol"):
+        for name in ("tau_ratio", "tau_cmp", "probe_tol"):
             check_real(name, getattr(self, name), 0.0)
         check_int("oracle_budget", self.oracle_budget)
-        edge = self.anchor_edge
-        if edge is not None and not (
-            isinstance(edge, tuple) and len(edge) == 2 and all(map(is_int, edge)) and edge[0] != edge[1]
-        ):
-            raise ArgumentError(f"anchor_edge must be null or two distinct vertex ids, got {edge!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -92,9 +85,9 @@ def config_from_dict(cls, doc, prefix: str = ""):
     """Build the config dataclass `cls` from a parsed JSON object.
 
     Absent keys keep the field defaults. A field whose default is itself a
-    config dataclass is read recursively; JSON arrays become tuples. Unknown
-    keys and non-objects raise ArgumentError naming the dotted key; value
-    checks are left to the dataclasses' own constructors.
+    config dataclass is read recursively. Unknown keys and non-objects raise
+    ArgumentError naming the dotted key; value checks are left to the
+    dataclasses' own constructors.
     """
     if not isinstance(doc, dict):
         raise ArgumentError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, got {doc!r}")
@@ -105,8 +98,6 @@ def config_from_dict(cls, doc, prefix: str = ""):
             raise ArgumentError(f"unknown config key '{prefix}{key}'; expected one of {sorted(defaults)}")
         if is_dataclass(defaults[key]):
             value = config_from_dict(type(defaults[key]), value, f"{prefix}{key}.")
-        elif isinstance(value, list):
-            value = tuple(value)
         kwargs[key] = value
     return cls(**kwargs)
 
@@ -196,15 +187,15 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
     t0 = time.perf_counter()
     trace = RunTrace(SCHEMA_VERSION, g, g.n, g.m, step_taken="")
 
-    lp = simplex_solve(build_vc_lp(g), cfg.tau_lp)
+    lp = simplex_solve(build_vc_lp(g))
     if lp.status != "optimal":
         raise ContractViolation(f"cover relaxation came back {lp.status}")
     trace.z_lp = lp.objective_value
     trace.timings["lp"] = time.perf_counter() - t0
 
-    if lp.objective_value < g.n / 2.0 - cfg.tau_lp:
+    if lp.objective_value < g.n / 2.0 - TAU_LP:
         t = time.perf_counter()
-        decomp, h = nt_decompose(g, cfg.tau_lp, cfg.tau_half, z_lp=lp.objective_value)
+        decomp, h = nt_decompose(g, z_lp=lp.objective_value)
         trace.nt_used = True
         trace.v_one = tuple(sorted(decomp.v_one))
         trace.v_zero = tuple(sorted(decomp.v_zero))
@@ -262,15 +253,13 @@ class DoubledAnalysis:
     rep_p: PropertyReport
     rep_d: PropertyReport
 
-    def band_probe(
-        self, th: Thresholds, anchor_edge: tuple[int, int] | None, probe_tol: float
-    ) -> tuple[EpsilonSubgraph, EpsilonSubgraph, OddCycleProbe]:
+    def band_probe(self, th: Thresholds, probe_tol: float) -> tuple[EpsilonSubgraph, EpsilonSubgraph, OddCycleProbe]:
         """Both copies' band subgraphs and the odd-cycle probe on the first
-        copy's, anchored on `anchor_edge`, else on the second copy's first
-        band edge."""
+        copy's, anchored on the second copy's first band edge in edge order
+        (none when that band subgraph has no edge)."""
         eps = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dg.copy_ids(0)), th)
         eps_other = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dg.copy_ids(1)), th)
-        anchor = anchor_edge or (eps_other.graph.edges[0] if eps_other.graph.edges else None)
+        anchor = eps_other.graph.edges[0] if eps_other.graph.edges else None
         return eps, eps_other, odd_cycle_probe(self.emb, eps, anchor, probe_tol)
 
 
@@ -301,17 +290,17 @@ def _cut_copy(
         trace.repairs.append({"step": step, "added": sorted(added)})
         trace.flags.append("cut_repaired")
     trace.step_taken = step
-    v0 = h.n - len(cover)
-    if v0 > 0:
-        cert = certify_theorem3(len(cover), v0, h.n)
-        if cert is not None:
-            cert_d = cert.to_dict()
-            cert_d["assumptions"].append(
-                f"relaxation value {trace.z_lp if not trace.nt_used else h.n / 2.0} >= n/2 "
-                f"certifies the optimum assumption"
-            )
-            trace.certificates.append(cert_d)
+    z = trace.z_lp if not trace.nt_used else h.n / 2.0
+    _certify_theorem3(trace, cover, h, f"relaxation value {z} >= n/2 certifies the optimum assumption")
     return cover
+
+
+def _certify_theorem3(trace: RunTrace, cover: frozenset[int], h: Graph, *assumptions: str) -> None:
+    """Record the Theorem-3 certificate of a cover of h, with any further
+    assumptions, unless the cover takes every vertex and certifies nothing."""
+    cert = certify_theorem3(len(cover), h.n - len(cover), h.n)
+    if cert is not None:
+        trace.certificates.append(replace(cert, assumptions=cert.assumptions + assumptions).to_dict())
 
 
 def _arbitrary_with_bound(
@@ -327,20 +316,19 @@ def _arbitrary_with_bound(
         return maximal_matching_cover(h)
     bound = theorem4_lower_bound(report, th)
     cert = certify_theorem2(h.n, k=1.0 / delta)
-    cert_d = cert.to_dict()
-    cert_d["inputs"]["theorem4_lower_bound"] = bound
-    cert_d["assumptions"].append(
+    note = (
         "lower bound assumes the band-excess products of the solved relaxation "
         "transfer to the optimum (recorded, not oracle-checked here)"
     )
-    trace.certificates.append(cert_d)
+    inputs = {**cert.inputs, "theorem4_lower_bound": bound}
+    trace.certificates.append(replace(cert, inputs=inputs, assumptions=cert.assumptions + (note,)).to_dict())
     return maximal_matching_cover(h)
 
 
 def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: PipelineConfig) -> frozenset[int]:
     """Both product conditions hold: solve the band subgraph of the first copy
     exactly when bipartite, else record the odd-cycle probe and fall back."""
-    eps, _, probe = a.band_probe(cfg.thresholds, cfg.anchor_edge, cfg.probe_tol)
+    eps, _, probe = a.band_probe(cfg.thresholds, cfg.probe_tol)
     trace.theorem6_probe = probe.to_dict()
 
     if not probe.bipartite:
@@ -358,16 +346,12 @@ def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: Pipeline
     if uncovered:
         raise ContractViolation(f"band-subgraph completion missed edges {uncovered[:5]}")
     trace.step_taken = STEP_BIPARTITE
-    v0 = h.n - len(cover)
-    if v0 > 0:
-        cert = certify_theorem3(len(cover), v0, h.n)
-        if cert is not None:
-            trace.certificates.append(cert.to_dict())
+    _certify_theorem3(trace, cover, h)
     return cover
 
 
 def evaluate_ratio(
-    trace: RunTrace, oracle_result: ExactResult | None, tau_ratio: float = 1e-9
+    trace: RunTrace, oracle_result: ExactResult | None, tau_ratio: float = TAU_RATIO
 ) -> RunTrace:
     """Fill in the measured ratio and check every emitted certificate against it.
 

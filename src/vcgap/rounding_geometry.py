@@ -20,6 +20,8 @@ from .errors import ArgumentError, check_real
 from .graph_core import Bipartition, Graph, OddCycle, find_odd_cycle, induced_subgraph
 from .sdp_solve import TAU_NORM, VectorEmbedding
 
+PROBE_TOL = 0.004  # ten times the paper's band width
+
 
 @dataclass(frozen=True)
 class Thresholds:
@@ -282,13 +284,12 @@ def odd_cycle_probe(
     emb: VectorEmbedding,
     eps_sub: EpsilonSubgraph,
     anchor_edge_other_copy: tuple[int, int] | None,
-    tol: float = 0.004,
+    tol: float = PROBE_TOL,
 ) -> OddCycleProbe:
     """Evaluate the odd-cycle contradiction chain on a band subgraph.
 
-    The default tolerance is ten times the band width; the argument itself
-    fixes no tolerance for its approximations, so raw magnitudes are always
-    reported and the headline verdict is taken at 10 * epsilon.
+    The argument itself fixes no tolerance for its approximations, so raw
+    magnitudes are always reported and the headline verdict is taken at tol.
     """
     result = find_odd_cycle(eps_sub.graph)
     if isinstance(result, Bipartition):

@@ -29,6 +29,8 @@ TAU_FEAS = 1e-5
 TAU_FACTOR = 1e-4
 TAU_CMP = 1e-3
 TAU_NORM = 1e-6
+OVER_RELAX = 1.8
+CHECK_EVERY = 25  # iterations between penalty rebalancing and stopping-rule checks
 
 
 class ExtractionError(VcgapError):
@@ -59,21 +61,11 @@ class SolverConfig:
     tau_feas: float = TAU_FEAS
     tau_obj: float = 1e-6
     max_iter: int = 50000
-    step: float | None = None  # initial ADMM penalty; None picks a scale-based default
-    over_relax: float = 1.8
-    adapt_rho: bool = True
-    check_every: int = 25
 
     def __post_init__(self):
         check_real("tau_feas", self.tau_feas, 0.0)
         check_real("tau_obj", self.tau_obj, 0.0)
         check_int("max_iter", self.max_iter)
-        check_int("check_every", self.check_every)
-        if self.step is not None:
-            check_real("step", self.step, 0.0)
-        check_real("over_relax", self.over_relax, 0.0, 2.0)
-        if not isinstance(self.adapt_rho, bool):
-            raise ArgumentError(f"adapt_rho must be true or false, got {self.adapt_rho!r}")
 
 
 @dataclass
@@ -254,11 +246,11 @@ def admm_solve(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> GramSolutio
     C = np.zeros((d, d))
     C[0, 1:] = 0.5
     C[1:, 0] = 0.5
-    rho = cfg.step if cfg.step is not None else max(1.0, math.sqrt(d))
-    alpha = cfg.over_relax
+    rho = max(1.0, math.sqrt(d))
+    alpha = OVER_RELAX
     one_minus_alpha = 1.0 - alpha
     pull = C / (3.0 * rho)  # objective step; recomputed whenever rho changes
-    max_iter, check_every, adapt_rho = cfg.max_iter, cfg.check_every, cfg.adapt_rho
+    max_iter, check_every = cfg.max_iter, CHECK_EVERY
 
     Z = np.eye(d)
     U = np.zeros((3, d, d))
@@ -290,7 +282,7 @@ def admm_solve(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> GramSolutio
 
         # Asymmetric residual balancing: raising the penalty (less objective
         # pull) is cheap, lowering it too eagerly stalls feasibility.
-        if adapt_rho and it % 25 == 0:
+        if it % check_every == 0:
             primal = math.sqrt(sum(float(np.sum((X[i] - Z) ** 2)) for i in range(3)))
             dual = rho * math.sqrt(3.0) * float(np.linalg.norm(Z - Z_prev))
             if primal > 5.0 * dual and rho < 1e5:

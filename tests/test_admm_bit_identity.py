@@ -11,6 +11,7 @@ the pipeline's threshold decisions. Equality here is exact, not approximate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from helpers import complete_graph, cycle_graph, random_gnp
 from vcgap.graph_core import Graph, duplicate_join
+from vcgap import sdp_solve
 from vcgap.harness_cli import generate_graph
 from vcgap.sdp_solve import (
     GramSolution,
@@ -81,7 +83,10 @@ def _ref_residuals(M, p):
     return r_eq, max(r_box, 0.0)
 
 
-def reference_admm_solve(p: SdpProblem, cfg: SolverConfig) -> GramSolution:
+def reference_admm_solve(p: SdpProblem, cfg: SolverConfig, moves: Counter | None = None) -> GramSolution:
+    """The solver under sdp_solve's current OVER_RELAX and CHECK_EVERY; each
+    penalty raise and lower is counted into `moves` when given."""
+    moves = Counter() if moves is None else moves
     d = p.dim
     if d == 1:
         return GramSolution(np.ones((1, 1)), 0.0, 0.0, 0.0, 1.0, 0, True)
@@ -89,8 +94,9 @@ def reference_admm_solve(p: SdpProblem, cfg: SolverConfig) -> GramSolution:
     C = np.zeros((d, d))
     C[0, 1:] = 0.5
     C[1:, 0] = 0.5
-    rho = cfg.step if cfg.step is not None else max(1.0, math.sqrt(d))
-    alpha = cfg.over_relax
+    rho = max(1.0, math.sqrt(d))
+    alpha = sdp_solve.OVER_RELAX
+    check_every = sdp_solve.CHECK_EVERY
 
     Z = np.eye(d)
     U = [np.zeros((d, d)) for _ in range(3)]
@@ -114,19 +120,21 @@ def reference_admm_solve(p: SdpProblem, cfg: SolverConfig) -> GramSolution:
         for i in range(3):
             U[i] += Xh[i] - Z
 
-        if cfg.adapt_rho and it % 25 == 0:
+        if it % check_every == 0:
             primal = math.sqrt(sum(float(np.sum((X[i] - Z) ** 2)) for i in range(3)))
             dual = rho * math.sqrt(3.0) * float(np.linalg.norm(Z - Z_prev))
             if primal > 5.0 * dual and rho < 1e5:
                 rho *= 2.0
                 for i in range(3):
                     U[i] /= 2.0
+                moves["raise"] += 1
             elif dual > 50.0 * primal and rho > 1e-3:
                 rho /= 2.0
                 for i in range(3):
                     U[i] *= 2.0
+                moves["lower"] += 1
 
-        if it % cfg.check_every == 0 or it == cfg.max_iter:
+        if it % check_every == 0 or it == cfg.max_iter:
             cand = X[2]
             last_req, last_rbox = _ref_residuals(cand, p)
             obj = float(cand[0, 1:].sum())
@@ -184,36 +192,57 @@ PROBLEMS = {
     "dim-one": lambda: _single(Graph.build([], [])),
 }
 
-# With the default penalty nothing adapts on most of these problems;
-# step-relax-check raises the penalty on several and no-relax lowers it on
-# single-gnp9, doubled-gnp8 and doubled-stars.
-CONFIGS = {
-    "default": SolverConfig(),
-    "max-iter-cutoff": SolverConfig(max_iter=137),
-    "cutoff-off-check": SolverConfig(max_iter=60, check_every=7),
-    "fixed-rho": SolverConfig(adapt_rho=False, max_iter=3000),
-    "step-relax-check": SolverConfig(step=0.7, over_relax=1.5, check_every=10, max_iter=4000),
-    "no-relax": SolverConfig(step=3.0, over_relax=1.0, check_every=1, max_iter=400),
+# Each case is a config plus values patched over sdp_solve's loop constants.
+# At the defaults the penalty only rises (once, on single-c5); without
+# over-relaxation it is lowered on several problems.
+CASES = {
+    "default": (SolverConfig(), {}),
+    "max-iter-cutoff": (SolverConfig(max_iter=137), {}),
+    "cutoff-off-check": (SolverConfig(max_iter=60), {}),
+    "no-relax": (SolverConfig(max_iter=4000), {"OVER_RELAX": 1.0}),
+    "relax-1.5": (SolverConfig(max_iter=4000), {"OVER_RELAX": 1.5}),
+    "check-every-7": (SolverConfig(max_iter=4000), {"CHECK_EVERY": 7}),
 }
 
 
-@pytest.mark.parametrize("cfg_name", sorted(CONFIGS))
+def _patch(monkeypatch, constants: dict) -> None:
+    for name, value in constants.items():
+        monkeypatch.setattr(sdp_solve, name, value)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
 @pytest.mark.parametrize("prob_name", sorted(PROBLEMS))
-def test_admm_matches_reference_bit_for_bit(prob_name, cfg_name):
+def test_admm_matches_reference_bit_for_bit(prob_name, case, monkeypatch):
     p = PROBLEMS[prob_name]()
-    cfg = CONFIGS[cfg_name]
+    cfg, constants = CASES[case]
+    _patch(monkeypatch, constants)
     assert_identical(admm_solve(p, cfg), reference_admm_solve(p, cfg))
 
 
-def test_reference_cases_exercise_both_stop_rules():
+def test_reference_cases_exercise_both_stop_rules(monkeypatch):
     # The corpus above must contain converged and cut-off solves, or the
     # equality checks prove little.
     outcomes = set()
     for prob_name in ("doubled-gnp8", "doubled-c5"):
         p = PROBLEMS[prob_name]()
-        for cfg in CONFIGS.values():
-            outcomes.add(admm_solve(p, cfg).converged)
+        for cfg, constants in CASES.values():
+            with monkeypatch.context() as m:
+                _patch(m, constants)
+                outcomes.add(admm_solve(p, cfg).converged)
     assert outcomes == {True, False}
+
+
+def test_reference_cases_exercise_both_penalty_moves(monkeypatch):
+    # Likewise the penalty must be both raised and lowered somewhere, or the
+    # balancing branches go unchecked.
+    moves = Counter()
+    for prob_name in ("single-c5", "single-gnp9"):
+        p = PROBLEMS[prob_name]()
+        for cfg, constants in CASES.values():
+            with monkeypatch.context() as m:
+                _patch(m, constants)
+                reference_admm_solve(p, cfg, moves)
+    assert moves["raise"] >= 1 and moves["lower"] >= 1
 
 
 def test_psd_project_matches_reference():

@@ -74,7 +74,7 @@ class TestExpandCorpus:
 GEN_ENTRY = {"model": "gnp", "n": 6, "parameter": 0.4, "seed": 1}
 BAD_BATCHES = {
     "pipeline-unknown-key": ({"corpus": [GEN_ENTRY], "pipeline": {"sdp": {"max_iters": 10}}}, "pipeline.sdp.max_iters"),
-    "pipeline-bad-value": ({"corpus": [GEN_ENTRY], "pipeline": {"sdp": {"check_every": 0}}}, "check_every"),
+    "pipeline-bad-value": ({"corpus": [GEN_ENTRY], "pipeline": {"sdp": {"max_iter": 0}}}, "max_iter"),
     "unknown-top-key": ({"corpus": [GEN_ENTRY], "jobz": 2}, "jobz"),
     "id-on-generated-entry": ({"corpus": [dict(GEN_ENTRY, id="mine")]}, "id"),
     "model-on-file-entry": ({"corpus": [{"file": "x.dimacs", "model": "gnp"}]}, "model"),

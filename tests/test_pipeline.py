@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,7 +82,7 @@ class TestMahdisRun:
         assert trace_key(mahdis_run(g)) == trace_key(mahdis_run(g))
 
     def test_sdp_nonconvergence_falls_back_to_matching(self):
-        cfg = PipelineConfig(sdp=SolverConfig(max_iter=3, check_every=3))
+        cfg = PipelineConfig(sdp=SolverConfig(max_iter=3))
         trace = run_with_oracle(cycle_graph(5), cfg)
         assert trace.step_taken == STEP_SDP_FALLBACK
         assert "sdp_nonconverged" in trace.flags
@@ -230,18 +231,24 @@ def _leaves(doc: dict, prefix: str = "") -> dict:
 
 
 NON_DEFAULT_CONFIG = PipelineConfig(
-    tau_lp=1e-8,
-    tau_half=1e-5,
     tau_ratio=1e-8,
     tau_cmp=1e-2,
     thresholds=Thresholds(below_half_fraction=0.001, above_band_fraction=0.02, epsilon=0.001),
-    sdp=SolverConfig(
-        tau_feas=1e-4, tau_obj=1e-5, max_iter=100, step=0.5, over_relax=1.5, adapt_rho=False, check_every=5
-    ),
+    sdp=SolverConfig(tau_feas=1e-4, tau_obj=1e-5, max_iter=100),
     probe_tol=0.01,
-    anchor_edge=(0, 1),
     oracle_budget=10,
 )
+
+# Keys earlier schemas accepted: solver internals and the probe's anchor edge.
+REMOVED_KEYS = {
+    "tau_lp": {"tau_lp": 1e-7},
+    "tau_half": {"tau_half": 1e-4},
+    "sdp.step": {"sdp": {"step": 0.5}},
+    "sdp.over_relax": {"sdp": {"over_relax": 1.8}},
+    "sdp.adapt_rho": {"sdp": {"adapt_rho": True}},
+    "sdp.check_every": {"sdp": {"check_every": 25}},
+    "anchor_edge": {"anchor_edge": [0, 1]},
+}
 
 BAD_CONFIGS = {
     "unknown-top": ({"tau_lpp": 1e-7}, "tau_lpp"),
@@ -249,17 +256,18 @@ BAD_CONFIGS = {
     "unknown-sdp": ({"sdp": {"max_iters": 10}}, "sdp.max_iters"),
     "band_top": ({"thresholds": {"band_top": 0.5004}}, "thresholds.band_top"),
     "tau_psd": ({"sdp": {"tau_psd": 1e-7}}, "sdp.tau_psd"),
-    "nan": ({"sdp": {"step": math.nan}}, "step"),
+    "nan": ({"sdp": {"tau_feas": math.nan}}, "tau_feas"),
     "inf": ({"tau_cmp": math.inf}, "tau_cmp"),
     "wrong-type": ({"sdp": {"max_iter": "100"}}, "max_iter"),
     "bool-for-int": ({"oracle_budget": True}, "oracle_budget"),
-    "check_every-0": ({"sdp": {"check_every": 0}}, "check_every"),
-    "over_relax-2": ({"sdp": {"over_relax": 2}}, "over_relax"),
-    "step-0": ({"sdp": {"step": 0}}, "step"),
-    "step-negative": ({"sdp": {"step": -1.0}}, "step"),
-    "anchor-loop": ({"anchor_edge": [1, 1]}, "anchor_edge"),
+    "max_iter-0": ({"sdp": {"max_iter": 0}}, "max_iter"),
+    "above_band_fraction-1": ({"thresholds": {"above_band_fraction": 1}}, "above_band_fraction"),
+    "tau_obj-0": ({"sdp": {"tau_obj": 0}}, "tau_obj"),
+    "probe_tol-negative": ({"probe_tol": -1.0}, "probe_tol"),
+    "tau_ratio-list": ({"tau_ratio": [1e-9]}, "tau_ratio"),
     "non-object": ([1, 2], "config"),
     "non-object-nested": ({"thresholds": 5}, "thresholds"),
+    **{f"removed-{key}": (doc, f"unknown config key '{key}'") for key, doc in REMOVED_KEYS.items()},
 }
 
 
@@ -267,7 +275,7 @@ class TestPipelineConfig:
     def test_non_default_config_sets_every_value(self):
         default = _leaves(PipelineConfig().to_dict())
         changed = _leaves(NON_DEFAULT_CONFIG.to_dict())
-        assert len(default) == 17
+        assert len(default) == 10
         assert [k for k in default if default[k] == changed[k]] == []
 
     @pytest.mark.parametrize("cfg", [PipelineConfig(), NON_DEFAULT_CONFIG], ids=["default", "non-default"])
@@ -291,16 +299,23 @@ class TestPipelineConfig:
         assert main(["solve", str(dimacs), "--no-exact", "--config", str(cfg)]) == 1
         assert key in capsys.readouterr().err
 
+    def test_readme_config_block_is_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### Config document", 1)[1]
+        block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        assert block == PipelineConfig().to_dict()
+        assert PipelineConfig.from_dict(block) == PipelineConfig()
+
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: SolverConfig(step=math.nan),
-            lambda: SolverConfig(over_relax=0.0),
+            lambda: SolverConfig(tau_feas=math.nan),
+            lambda: SolverConfig(tau_obj=0.0),
             lambda: SolverConfig(max_iter=10.0),
-            lambda: SolverConfig(adapt_rho=1),
+            lambda: SolverConfig(max_iter=True),
             lambda: Thresholds(epsilon=math.inf),
-            lambda: PipelineConfig(tau_half=0.0),
-            lambda: PipelineConfig(anchor_edge=[0, 1]),
+            lambda: PipelineConfig(probe_tol=0.0),
+            lambda: PipelineConfig(tau_ratio=[1e-9]),
         ],
     )
     def test_constructors_reject_what_parsing_rejects(self, make):

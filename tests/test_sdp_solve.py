@@ -125,7 +125,7 @@ class TestAdmmSolve:
         assert gs.min_eigenvalue >= -1e-7
 
     def test_nonconvergence_is_flagged_not_raised(self):
-        cfg = SolverConfig(max_iter=3, check_every=3)
+        cfg = SolverConfig(max_iter=3)
         gs = admm_solve(build_sdp_single(complete_graph(3)), cfg)
         assert not gs.converged and gs.iterations == 3
 
