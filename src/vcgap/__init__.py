@@ -54,7 +54,7 @@ from .rounding_geometry import (
     threshold_cut,
 )
 from .bipartite_vc import Matching, konig_cover, max_matching, maximal_matching_cover
-from .exact_oracle import ExactResult, exact_vc, exact_vc_enumerate
+from .exact_oracle import ExactResult, exact_vc
 from .pipeline import PipelineConfig, RunTrace, evaluate_ratio, mahdis_run, two_approx_baseline
 from .harness_cli import emit_report, generate_graph, run_batch
 

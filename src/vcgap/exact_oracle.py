@@ -2,17 +2,15 @@
 
 Branch and bound with degree-one folding, a greedy-matching lower bound, and
 max-degree branching; an explicit node budget turns oversized searches into
-an "unknown" result instead of a wrong number. A subset-enumeration mode
-doubles as an independent check for small graphs.
+an "unknown" result instead of a wrong number.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .bipartite_vc import maximal_matching_cover
-from .errors import ArgumentError, ContractViolation
+from .errors import ContractViolation
 from .graph_core import Graph, verify_cover
 
 STATUS_OPTIMAL = "optimal"
@@ -109,15 +107,3 @@ def exact_vc(g: Graph, budget: int = NODE_BUDGET) -> ExactResult:
         raise ContractViolation(f"oracle produced an infeasible cover: {uncovered[:5]}")
     return ExactResult(STATUS_OPTIMAL, best[0], cover, counter[0])
 
-
-def exact_vc_enumerate(g: Graph, limit_n: int = 22) -> ExactResult:
-    """Subset enumeration by increasing size; independent of the search above."""
-    if g.n > limit_n:
-        raise ArgumentError(f"enumeration limited to n <= {limit_n}, got {g.n}")
-    verts = g.vertices
-    for size in range(g.n + 1):
-        for subset in itertools.combinations(verts, size):
-            cover = frozenset(subset)
-            if not verify_cover(g, cover):
-                return ExactResult(STATUS_OPTIMAL, size, cover, 0)
-    raise AssertionError("unreachable: the full vertex set always covers")

@@ -14,8 +14,11 @@ negative eigenvalues clipped.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import logging
 import math
+import os
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -31,6 +34,56 @@ TAU_CMP = 1e-3
 TAU_NORM = 1e-6
 OVER_RELAX = 1.8
 CHECK_EVERY = 25  # iterations between penalty rebalancing and stopping-rule checks
+
+log = logging.getLogger(__name__)
+
+# (getter, setter) names of numpy's 64-bit-integer OpenBLAS, scipy's OpenBLAS
+# and a system OpenBLAS, with or without 64-bit integers
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def set_openblas_threads(threads: int, maps: str = "/proc/self/maps") -> list[tuple[str, int, int]]:
+    """Set every OpenBLAS mapped into this process (as `maps` lists them) to
+    `threads` threads. Returns (library path, threads before, after) per
+    library; none is found without /proc or under another BLAS."""
+    try:
+        with open(maps) as f:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in f}  # pathname, when the line has one
+    except OSError:
+        paths = set()
+    found = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                before = get()
+                put(threads)
+                after = get()
+                log.debug("%s: OpenBLAS threads %d -> %d", path, before, after)
+                found.append((path, before, after))
+                break
+    if not found:
+        log.debug("no OpenBLAS found in %s; BLAS threads left as they are", maps)
+    return found
+
+
+# One thread for the whole process. The ADMM loop's eigh and products at dims
+# 41-121 run no faster on two threads and use twice the CPU. Set once and
+# never restored: toggling the count around each solve slowed two-worker
+# batches. numpy and scipy are loaded by now, so OPENBLAS_NUM_THREADS, which
+# OpenBLAS reads only as it loads, can no longer do this.
+set_openblas_threads(1)
 
 
 class ExtractionError(VcgapError):

@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 
+from vcgap.errors import ArgumentError
+from vcgap.exact_oracle import STATUS_OPTIMAL, ExactResult
 from vcgap.graph_core import Graph, verify_cover
 from vcgap.sdp_solve import VectorEmbedding
 
@@ -49,13 +51,22 @@ def embedding_of(vectors: np.ndarray) -> VectorEmbedding:
     return VectorEmbedding(vectors, tuple(float(vectors[0] @ row) for row in vectors[1:]))
 
 
-def brute_force_min_cover(g: Graph) -> int:
-    """Smallest feasible cover by subset enumeration in increasing size."""
+def exact_vc_enumerate(g: Graph, limit_n: int = 22) -> ExactResult:
+    """Subset enumeration by increasing size; independent of the oracle's
+    branch and bound."""
+    if g.n > limit_n:
+        raise ArgumentError(f"enumeration limited to n <= {limit_n}, got {g.n}")
     for size in range(g.n + 1):
         for subset in itertools.combinations(g.vertices, size):
-            if not verify_cover(g, frozenset(subset)):
-                return size
-    raise AssertionError("unreachable")
+            cover = frozenset(subset)
+            if not verify_cover(g, cover):
+                return ExactResult(STATUS_OPTIMAL, size, cover, 0)
+    raise AssertionError("unreachable: the full vertex set always covers")
+
+
+def brute_force_min_cover(g: Graph) -> int:
+    """Smallest feasible cover size by subset enumeration."""
+    return exact_vc_enumerate(g, limit_n=g.n).size
 
 
 def half_integral_grid_optimum(g: Graph) -> float:

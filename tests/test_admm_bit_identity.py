@@ -245,6 +245,21 @@ def test_reference_cases_exercise_both_penalty_moves(monkeypatch):
     assert moves["raise"] >= 1 and moves["lower"] >= 1
 
 
+def test_blas_thread_count_leaves_the_gram_unchanged():
+    # vcgap sets one BLAS thread once per process; that is safe only because
+    # the thread count does not change a single bit of the solve. At dim 41
+    # a second OpenBLAS thread is active: the solve's CPU time doubles.
+    p = _doubled(generate_graph("gnp", 20, 0.3, seed=777))
+    cfg = SolverConfig(max_iter=2000)
+    try:
+        assert {after for _, _, after in sdp_solve.set_openblas_threads(2)} == {2}
+        two = admm_solve(p, cfg)
+    finally:
+        sdp_solve.set_openblas_threads(1)
+    assert p.dim == 41
+    assert_identical(admm_solve(p, cfg), two)
+
+
 def test_psd_project_matches_reference():
     rng = np.random.default_rng(17)
     for d in (1, 2, 5, 17):

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import complete_graph, cycle_graph, petersen_graph, random_gnp
+from helpers import complete_graph, cycle_graph, exact_vc_enumerate, petersen_graph, random_gnp
 from vcgap.errors import ArgumentError
-from vcgap.exact_oracle import (
-    STATUS_OPTIMAL,
-    STATUS_UNKNOWN,
-    exact_vc,
-    exact_vc_enumerate,
-)
+from vcgap.exact_oracle import STATUS_OPTIMAL, STATUS_UNKNOWN, exact_vc
 from vcgap.graph_core import Graph, verify_cover
 
 
