@@ -29,6 +29,7 @@ from .errors import (
     check_keys,
     check_real,
     is_int,
+    is_real,
 )
 from .exact_oracle import STATUS_OPTIMAL, exact_vc
 from .graph_core import Graph, duplicate_join, graph_from_json, parse_dimacs, write_dimacs
@@ -78,6 +79,8 @@ def generate_graph(model: str, n: int, parameter: float, seed: int) -> Graph:
     """Deterministic random instance; the stream depends only on the arguments."""
     if n < 0:
         raise ArgumentError(f"n must be nonnegative, got {n}")
+    if not is_real(parameter):
+        raise ArgumentError(f"parameter must be a finite number, got {parameter!r}")
     if model not in _MODEL_CODES:
         raise ArgumentError(f"unknown model {model!r}; choose from {sorted(_MODEL_CODES)}")
     entropy = (int(seed) & (2**64 - 1), _MODEL_CODES[model], n, int(round(parameter * 1e9)))
@@ -113,9 +116,9 @@ def generate_graph(model: str, n: int, parameter: float, seed: int) -> Graph:
         return Graph.build(range(n), edges)
     # star_union: disjoint stars of `parameter` vertices each (center first);
     # drives the relaxation value below n/2 so kernelization fires.
+    if parameter != int(parameter) or parameter < 2:
+        raise ArgumentError(f"star_union parameter is the star size, an integer >= 2, got {parameter!r}")
     size = int(parameter)
-    if size < 2:
-        raise ArgumentError("star_union parameter is the star size, an integer >= 2")
     edges = []
     for start in range(0, n - size + 1, size):
         edges.extend((start, start + k) for k in range(1, size))

@@ -34,7 +34,7 @@ class Thresholds:
     def __post_init__(self):
         check_real("below_half_fraction", self.below_half_fraction, 0.0, 1.0)
         check_real("above_band_fraction", self.above_band_fraction, 0.0, 1.0)
-        check_real("epsilon", self.epsilon)
+        check_real("epsilon", self.epsilon, 0.0, 0.5)
 
     @property
     def band_top(self) -> float:

@@ -10,6 +10,12 @@ PSD cone) and runs consensus ADMM: each block is an exact projection, the
 equality projection reusing a cached Cholesky factor of the constraint normal
 matrix, and the PSD projection a full symmetric eigendecomposition with
 negative eigenvalues clipped.
+
+The factor comes from numpy; each iteration's solve with it is LAPACK's
+`potrs` from numpy's own OpenBLAS, bound through ctypes once at import.
+Where no mapped OpenBLAS exports it (another BLAS under numpy, or no
+/proc), scipy's `potrs` is loaded instead. Both give the bits that scipy's
+`cho_factor`/`cho_solve` give.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ import logging
 import math
 import os
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, get_lapack_funcs
 
 from .errors import ArgumentError, SolverError, VcgapError, check_int, check_keys, check_real, is_real
 from .graph_core import DoubledGraph, Graph
@@ -47,21 +53,29 @@ _OPENBLAS_THREAD_FUNCS = (
 )
 
 
-def set_openblas_threads(threads: int, maps: str = "/proc/self/maps") -> list[tuple[str, int, int]]:
-    """Set every OpenBLAS mapped into this process (as `maps` lists them) to
-    `threads` threads. Returns (library path, threads before, after) per
-    library; none is found without /proc or under another BLAS."""
+def _mapped_openblas(maps: str) -> list[tuple[str, ctypes.CDLL]]:
+    """(path, handle) of every OpenBLAS mapped into this process, as `maps`
+    lists them; none without /proc."""
     try:
         with open(maps) as f:
             paths = {line.split(maxsplit=5)[-1].strip() for line in f}  # pathname, when the line has one
     except OSError:
-        paths = set()
+        return []
     found = []
     for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
         try:
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+            found.append((path, ctypes.CDLL(path, mode=os.RTLD_NOLOAD)))
         except OSError:
             continue
+    return found
+
+
+def set_openblas_threads(threads: int, maps: str = "/proc/self/maps") -> list[tuple[str, int, int]]:
+    """Set every OpenBLAS mapped into this process (as `maps` lists them) to
+    `threads` threads. Returns (library path, threads before, after) per
+    library; none is found without /proc or under another BLAS."""
+    found = []
+    for path, lib in _mapped_openblas(maps):
         for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
             if hasattr(lib, get_name) and hasattr(lib, set_name):
                 get, put = getattr(lib, get_name), getattr(lib, set_name)
@@ -78,11 +92,72 @@ def set_openblas_threads(threads: int, maps: str = "/proc/self/maps") -> list[tu
     return found
 
 
+# LAPACK dpotrs in numpy's 64-bit-integer OpenBLAS build
+_POTRS_SYMBOL = "scipy_dpotrs_64_"
+_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+# Builds, from an upper Cholesky factor in Fortran order, a right-hand side
+# buffer and an info cell, the zero-argument call that overwrites the buffer
+# with the solution and sets info (nonzero: potrs rejected that argument).
+_PotrsCall = Callable[[np.ndarray, np.ndarray, ctypes.c_int64], Callable[[], None]]
+
+
+def _openblas_potrs(potrs, chol: np.ndarray, rhs: np.ndarray, info: ctypes.c_int64) -> Callable[[], None]:
+    # dpotrs(uplo, n, nrhs, a, lda, b, ldb, info, hidden length of uplo), each
+    # argument a ctypes object of the C type it takes. potrs declares no
+    # argtypes: checking nine of them on every call costs about 2 us, against
+    # an iteration of about 90 us at dim 11. data_as pointers hold a
+    # reference to their arrays.
+    n = ctypes.byref(ctypes.c_int64(len(rhs)))
+    return partial(
+        potrs,
+        ctypes.c_char_p(b"U"),
+        n,
+        ctypes.byref(ctypes.c_int64(1)),
+        chol.ctypes.data_as(_DOUBLE_P),
+        n,
+        rhs.ctypes.data_as(_DOUBLE_P),
+        n,
+        ctypes.byref(info),
+        ctypes.c_size_t(1),
+    )
+
+
+def _scipy_potrs(potrs, chol: np.ndarray, rhs: np.ndarray, info: ctypes.c_int64) -> Callable[[], None]:
+    def solve():
+        y, info.value = potrs(chol, rhs, lower=False, overwrite_b=True)
+        rhs[:] = y
+
+    return solve
+
+
+def _bind_potrs(maps: str = "/proc/self/maps") -> _PotrsCall:
+    """Resolve `potrs` from the first OpenBLAS mapped into this process that
+    exports numpy's 64-bit-integer symbol; else from scipy, which this
+    imports, loading scipy's own OpenBLAS."""
+    for path, lib in _mapped_openblas(maps):
+        if hasattr(lib, _POTRS_SYMBOL):
+            potrs = getattr(lib, _POTRS_SYMBOL)
+            potrs.restype = None
+            log.debug("%s: potrs bound to %s", path, _POTRS_SYMBOL)
+            return partial(_openblas_potrs, potrs)
+    from scipy.linalg import get_lapack_funcs
+
+    (potrs,) = get_lapack_funcs(("potrs",), dtype=np.float64)
+    log.debug("no OpenBLAS in %s exports %s; using scipy's potrs", maps, _POTRS_SYMBOL)
+    return partial(_scipy_potrs, potrs)
+
+
+# Bound before the thread count is set, so that the OpenBLAS a scipy
+# fallback loads is set too.
+_potrs_call = _bind_potrs()
+
 # One thread for the whole process. The ADMM loop's eigh and products at dims
 # 41-121 run no faster on two threads and use twice the CPU. Set once and
 # never restored: toggling the count around each solve slowed two-worker
-# batches. numpy and scipy are loaded by now, so OPENBLAS_NUM_THREADS, which
-# OpenBLAS reads only as it loads, can no longer do this.
+# batches. numpy, and any OpenBLAS the binding above loaded, are mapped by
+# now, so OPENBLAS_NUM_THREADS, which OpenBLAS reads only as it loads, can
+# no longer do this. An OpenBLAS the caller loads later keeps its own count.
 set_openblas_threads(1)
 
 
@@ -218,8 +293,9 @@ class _AffineState:
     matrix: row_i/row_j are (0,i)/(0,j) and ij/ji are (i,j)/(j,i).
     """
 
-    chol: np.ndarray
-    potrs: Callable
+    rhs: np.ndarray  # potrs's right-hand side; each solve overwrites it with the solution
+    info: ctypes.c_int64
+    solve: Callable[[], None]  # potrs on the factor of I + B^T B and rhs, its arguments built once per solve
     iv: np.ndarray
     jv: np.ndarray
     row_i: np.ndarray
@@ -248,10 +324,14 @@ def _normal_matrix_factor(p: SdpProblem) -> _AffineState | None:
     np.add.at(btb, (jv, jv), 1.0)
     np.add.at(btb, (iv, jv), 1.0)
     np.add.at(btb, (jv, iv), 1.0)
-    chol, _ = cho_factor(btb)
-    (potrs,) = get_lapack_funcs(("potrs",), (chol,))
+    # upper=True, not cholesky(btb).T: only the former equals scipy's cho_factor bit for bit
+    chol = np.asfortranarray(np.linalg.cholesky(btb, upper=True))
+    rhs = np.empty(nv)
+    info = ctypes.c_int64()
     d = p.dim
-    return _AffineState(chol, potrs, iv, jv, p.con_i, p.con_j, p.con_i * d + p.con_j, p.con_j * d + p.con_i)
+    return _AffineState(
+        rhs, info, _potrs_call(chol, rhs, info), iv, jv, p.con_i, p.con_j, p.con_i * d + p.con_j, p.con_j * d + p.con_i
+    )
 
 
 def _project_affine(V: np.ndarray, state: _AffineState | None) -> np.ndarray:
@@ -263,11 +343,12 @@ def _project_affine(V: np.ndarray, state: _AffineState | None) -> np.ndarray:
     nv = d - 1
     flat = V.ravel()
     r = flat[state.row_i] + flat[state.row_j] - flat[state.ij] - 1.0
-    t = np.bincount(iv, r, nv) + np.bincount(jv, r, nv)
-    # cho_solve minus its per-call finiteness scans of the factor and of t
-    y, info = state.potrs(state.chol, t, lower=False, overwrite_b=True)
-    if info != 0:
-        raise SolverError(f"potrs rejected argument {-info}")
+    y = state.rhs
+    np.add(np.bincount(iv, r, nv), np.bincount(jv, r, nv), out=y)
+    # cho_solve minus its per-call finiteness scans of the factor and of y
+    state.solve()
+    if state.info.value != 0:
+        raise SolverError(f"potrs rejected argument {-state.info.value}")
     lam = r - (y[iv] + y[jv])
     c0 = np.bincount(iv, lam, nv) + np.bincount(jv, lam, nv)
     flat[1:d] -= c0

@@ -260,6 +260,22 @@ def test_blas_thread_count_leaves_the_gram_unchanged():
     assert_identical(admm_solve(p, cfg), two)
 
 
+@pytest.mark.parametrize("prob_name", sorted(PROBLEMS))
+def test_scipy_potrs_fallback_matches_numpys_openblas(prob_name, monkeypatch, tmp_path):
+    # Where no mapped OpenBLAS exports potrs, the solver loads scipy's; both
+    # must give the same bits. A maps file that does not exist forces that.
+    assert sdp_solve._potrs_call.func is sdp_solve._openblas_potrs
+    p = PROBLEMS[prob_name]()
+    cfg = SolverConfig(max_iter=4000)
+    bound = admm_solve(p, cfg)
+    fallback = sdp_solve._bind_potrs(str(tmp_path / "missing"))
+    assert fallback.func is sdp_solve._scipy_potrs
+    monkeypatch.setattr(sdp_solve, "_potrs_call", fallback)
+    got = admm_solve(p, cfg)
+    assert np.array_equal(got.matrix, bound.matrix)
+    assert (got.iterations, got.converged) == (bound.iterations, bound.converged)
+
+
 def test_psd_project_matches_reference():
     rng = np.random.default_rng(17)
     for d in (1, 2, 5, 17):

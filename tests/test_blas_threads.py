@@ -1,4 +1,5 @@
-"""vcgap runs every OpenBLAS in the process on one thread, set once on import.
+"""vcgap runs the OpenBLAS it uses on one thread, set once on import, and
+binds LAPACK's potrs from numpy's own build instead of importing scipy.
 
 The lookup below reads /proc/self/maps on its own, independent of
 `sdp_solve.set_openblas_threads`, so a library lookup that silently finds
@@ -8,8 +9,12 @@ nothing still fails these tests.
 from __future__ import annotations
 
 import ctypes
+import json
 import logging
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import vcgap  # noqa: F401  (the import sets the thread count)
 from vcgap import harness_cli, sdp_solve
@@ -39,19 +44,23 @@ def openblas_threads() -> dict[str, int | None]:
     return counts
 
 
-def test_every_openblas_runs_one_thread_after_import():
-    counts = openblas_threads()
-    for build in BUILDS:
-        assert any(name.startswith(build) for name in counts), f"{build} not mapped: {counts}"
-    assert set(counts.values()) == {1}, counts
-
-
-def test_setter_finds_both_builds():
-    found = sdp_solve.set_openblas_threads(1)
-    names = [os.path.basename(path) for path, _, _ in found]
-    for build in BUILDS:
-        assert sum(name.startswith(build) for name in names) == 1, names
-    assert all(after == 1 for _, _, after in found)
+def test_import_loads_no_scipy_and_pins_numpys_openblas():
+    # A fresh interpreter: other test modules import scipy in this one.
+    code = (
+        "import sys, json, vcgap\n"
+        "linalg = 'scipy.linalg' in sys.modules\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from test_blas_threads import openblas_threads\n"
+        "print(json.dumps({'scipy.linalg': linalg, 'threads': openblas_threads()}))\n"
+    )
+    src = str(Path(vcgap.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert report["scipy.linalg"] is False
+    counts = report["threads"]
+    assert not any(name.startswith(BUILDS[1]) for name in counts), counts
+    assert [counts[name] for name in counts if name.startswith(BUILDS[0])] == [1], counts
 
 
 def _report_threads(spec, cfg, oracle_max_n):
@@ -68,8 +77,7 @@ def test_batch_workers_run_one_thread(monkeypatch):
     assert len(rows) == 4
     for row in rows:
         assert row["pid"] != os.getpid()
-        assert any(name.startswith(BUILDS[0]) for name in row["threads"])
-        assert set(row["threads"].values()) == {1}, row
+        assert [n for name, n in row["threads"].items() if name.startswith(BUILDS[0])] == [1], row
 
 
 def test_setter_logs_each_build_and_a_miss(caplog, tmp_path):
@@ -82,3 +90,16 @@ def test_setter_logs_each_build_and_a_miss(caplog, tmp_path):
         caplog.clear()
         assert sdp_solve.set_openblas_threads(1, str(maps)) == []
         assert caplog.messages == [f"no OpenBLAS found in {maps}; BLAS threads left as they are"]
+
+
+def test_potrs_binding_logs_the_library_or_the_fallback(caplog, tmp_path):
+    caplog.set_level(logging.DEBUG, logger="vcgap")
+    sdp_solve._bind_potrs()
+    [message] = caplog.messages
+    path = message.split(": potrs bound to ")[0]
+    assert os.path.basename(path).startswith(BUILDS[0])
+    assert message == f"{path}: potrs bound to scipy_dpotrs_64_"
+    caplog.clear()
+    maps = tmp_path / "missing"
+    sdp_solve._bind_potrs(str(maps))
+    assert caplog.messages == [f"no OpenBLAS in {maps} exports scipy_dpotrs_64_; using scipy's potrs"]

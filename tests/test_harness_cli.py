@@ -60,6 +60,17 @@ class TestGenerateGraph:
         with pytest.raises(ArgumentError):
             generate_graph("star_union", 8, 1, seed=1)
 
+    @pytest.mark.parametrize("model", sorted(harness_cli._MODEL_CODES))
+    @pytest.mark.parametrize("parameter", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_parameter(self, model, parameter):
+        with pytest.raises(ArgumentError, match="parameter must be a finite number"):
+            generate_graph(model, 6, parameter, seed=1)
+
+    def test_star_size_must_be_integral(self):
+        with pytest.raises(ArgumentError, match="star size"):
+            generate_graph("star_union", 6, 2.7, seed=1)
+        assert generate_graph("star_union", 6, 3.0, seed=1) == generate_graph("star_union", 6, 3, seed=1)
+
 
 class TestExpandCorpus:
     def test_count_expansion(self):
@@ -406,6 +417,14 @@ class TestCliMain:
         assert main(["probe", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("input error") and key in err
+
+    @pytest.mark.parametrize(
+        "model,parameter", [("star_union", "inf"), ("star_union", "nan"), ("gnp", "nan"), ("star_union", "2.7")]
+    )
+    def test_gen_bad_parameter_exit_1(self, model, parameter, capsys):
+        assert main(["gen", "--model", model, "--n", "6", "--parameter", parameter]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "parameter" in err
 
     def test_usage_error_exit_1(self, capsys):
         assert main(["solve"]) == 1

@@ -262,6 +262,9 @@ BAD_CONFIGS = {
     "bool-for-int": ({"oracle_budget": True}, "oracle_budget"),
     "max_iter-0": ({"sdp": {"max_iter": 0}}, "max_iter"),
     "above_band_fraction-1": ({"thresholds": {"above_band_fraction": 1}}, "above_band_fraction"),
+    "epsilon-0": ({"thresholds": {"epsilon": 0}}, "epsilon"),
+    "epsilon-negative": ({"thresholds": {"epsilon": -0.3}}, "epsilon"),
+    "epsilon-half": ({"thresholds": {"epsilon": 0.5}}, "epsilon"),
     "tau_obj-0": ({"sdp": {"tau_obj": 0}}, "tau_obj"),
     "probe_tol-negative": ({"probe_tol": -1.0}, "probe_tol"),
     "tau_ratio-list": ({"tau_ratio": [1e-9]}, "tau_ratio"),
