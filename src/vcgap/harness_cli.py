@@ -27,7 +27,6 @@ from .errors import (
     SolverError,
     check_int,
     check_keys,
-    check_real,
     is_int,
     is_real,
 )
@@ -75,31 +74,38 @@ CSV_COLUMNS = (
 )
 
 
-def generate_graph(model: str, n: int, parameter: float, seed: int) -> Graph:
-    """Deterministic random instance; the stream depends only on the arguments."""
+def check_model(model: str, n: int, parameter: float) -> None:
+    """Raise ArgumentError unless generate_graph can build `model` with these
+    `n` and `parameter`: a known model, n >= 0, and a finite parameter that
+    is a probability in [0, 1], or for star_union an integer star size >= 2."""
     if n < 0:
         raise ArgumentError(f"n must be nonnegative, got {n}")
     if not is_real(parameter):
         raise ArgumentError(f"parameter must be a finite number, got {parameter!r}")
-    if model not in _MODEL_CODES:
+    if not isinstance(model, str) or model not in _MODEL_CODES:
         raise ArgumentError(f"unknown model {model!r}; choose from {sorted(_MODEL_CODES)}")
+    if model == "star_union":
+        if parameter != int(parameter) or parameter < 2:
+            raise ArgumentError(f"star_union parameter is the star size, an integer >= 2, got {parameter!r}")
+    elif not 0.0 <= parameter <= 1.0:
+        kind = "a chord" if model == "odd_cycle_rich" else "an edge"
+        raise ArgumentError(f"{model} parameter is {kind} probability in [0, 1]")
+
+
+def generate_graph(model: str, n: int, parameter: float, seed: int) -> Graph:
+    """Deterministic random instance; the stream depends only on the arguments."""
+    check_model(model, n, parameter)
     entropy = (int(seed) & (2**64 - 1), _MODEL_CODES[model], n, int(round(parameter * 1e9)))
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     if model == "gnp":
-        if not 0.0 <= parameter <= 1.0:
-            raise ArgumentError("gnp parameter is an edge probability in [0, 1]")
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < parameter]
         return Graph.build(range(n), edges)
     if model == "bipartite_gnp":
-        if not 0.0 <= parameter <= 1.0:
-            raise ArgumentError("bipartite_gnp parameter is an edge probability in [0, 1]")
         left = set(int(v) for v in rng.choice(n, size=n // 2, replace=False)) if n else set()
         right = [v for v in range(n) if v not in left]
         edges = [(i, j) for i in sorted(left) for j in right if rng.random() < parameter]
         return Graph.build(range(n), edges)
     if model == "odd_cycle_rich":
-        if not 0.0 <= parameter <= 1.0:
-            raise ArgumentError("odd_cycle_rich parameter is a chord probability in [0, 1]")
         edges = []
         start = 0
         while n - start >= 3:
@@ -116,8 +122,6 @@ def generate_graph(model: str, n: int, parameter: float, seed: int) -> Graph:
         return Graph.build(range(n), edges)
     # star_union: disjoint stars of `parameter` vertices each (center first);
     # drives the relaxation value below n/2 so kernelization fires.
-    if parameter != int(parameter) or parameter < 2:
-        raise ArgumentError(f"star_union parameter is the star size, an integer >= 2, got {parameter!r}")
     size = int(parameter)
     edges = []
     for start in range(0, n - size + 1, size):
@@ -186,11 +190,12 @@ def _worker(args: tuple) -> dict:
 def expand_corpus(corpus: list[dict]) -> list[dict]:
     """One spec per instance: file entries pass through, generated entries
     expand `count` consecutive seeds. Unknown or missing keys, non-integer
-    `n`, `seed` or `count` and a non-finite `parameter` raise ArgumentError."""
+    `n`, `seed` or `count`, and a `model` and `parameter` that generate_graph
+    rejects raise ArgumentError."""
     if not isinstance(corpus, list):
         raise ArgumentError(f"corpus must be a JSON array, got {corpus!r}")
     specs = []
-    for entry in corpus:
+    for index, entry in enumerate(corpus):
         if isinstance(entry, dict) and "file" in entry:
             check_keys("corpus entry", entry, ("file",), ("id",))
             specs.append(dict(entry))
@@ -199,9 +204,12 @@ def expand_corpus(corpus: list[dict]) -> list[dict]:
         seed0, count = entry.get("seed", 0), entry.get("count", 1)
         check_int("n", entry["n"], low=0)
         check_int("count", count, low=0)
-        check_real("parameter", entry["parameter"])
         if not is_int(seed0):
             raise ArgumentError(f"seed must be an integer, got {seed0!r}")
+        try:
+            check_model(entry["model"], entry["n"], entry["parameter"])
+        except ArgumentError as exc:
+            raise ArgumentError(f"corpus entry {index} {entry!r}: {exc}") from None
         for k in range(count):
             spec = {key: entry[key] for key in ("model", "n", "parameter")}
             spec["seed"] = seed0 + k

@@ -8,6 +8,7 @@ levels, and the kernel decomposition/recombination built on top of them.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,6 +16,8 @@ import numpy as np
 
 from .errors import ArgumentError, ContractViolation, SolverError, VcgapError
 from .graph_core import Graph, induced_subgraph, verify_cover
+
+log = logging.getLogger(__name__)
 
 TAU_LP = 1e-7
 TAU_HALF = 1e-4
@@ -307,6 +310,21 @@ def extreme_point_refine(
     Every minimized value lands on the {0, 1/2, 1} grid for vertex cover
     relaxations; values within tau_half of a grid level are snapped so the
     face equality stays exactly consistent across iterations.
+
+    Each vertex is decided by the first of three rules that applies:
+
+    1. Witness zero: the last step LP's optimum (the witness) snaps to 0 at
+       this vertex. The witness satisfies every fixing made since it was
+       solved and x >= 0, so the minimum is 0; it is fixed with no LP.
+    2. Forced one: a neighbour is already fixed at 0, so its edge row and
+       the bound x <= 1 force 1; it is fixed with no LP. The witness stays
+       on the face, since it has that neighbour at ~0 and so this vertex
+       at ~1.
+    3. Otherwise the step LP is solved, and its optimum becomes the witness.
+
+    The first vertex always gets an LP, so an inconsistent z_star still
+    raises ContractViolation. The returned `iterations` counts the pivots of
+    the LPs solved, not of the vertices the first two rules fixed.
     """
     if g.n == 0:
         return LpSolution(np.zeros(0), 0.0, "optimal", 0, labels=())
@@ -323,24 +341,36 @@ def extreme_point_refine(
     sum_row = (np.ones(g.n), "=", z)
     bounds: list[tuple[float, float]] = [(0.0, 1.0)] * g.n
     values = np.zeros(g.n)
-    iters = 0
+    fixed_zero: set[int] = set()
+    witness = None
+    iters = zeros = ones = 0
     for vid in order:
         k = pos[vid]
-        obj = np.zeros(g.n)
-        obj[k] = 1.0
-        sub = LpProblem(obj, base.rows + [sum_row], list(bounds), labels=g.vertices)
-        sol = simplex_solve(sub, tau_lp)
-        iters += sol.iterations
-        if sol.status != "optimal":
-            raise ContractViolation(
-                f"step LP for vertex {vid} came back {sol.status}; "
-                f"z_star={z_star!r} is inconsistent with the relaxation"
-            )
-        val = float(sol.values[k])
-        val = _snap(val, tau_half)
+        if witness is not None and _snap(float(witness[k]), tau_half) == 0.0:
+            val = 0.0
+            zeros += 1
+        elif not fixed_zero.isdisjoint(g.adjacency[vid]):
+            val = 1.0
+            ones += 1
+        else:
+            obj = np.zeros(g.n)
+            obj[k] = 1.0
+            sub = LpProblem(obj, base.rows + [sum_row], list(bounds), labels=g.vertices)
+            sol = simplex_solve(sub, tau_lp)
+            iters += sol.iterations
+            if sol.status != "optimal":
+                raise ContractViolation(
+                    f"step LP for vertex {vid} came back {sol.status}; "
+                    f"z_star={z_star!r} is inconsistent with the relaxation"
+                )
+            witness = sol.values
+            val = _snap(float(witness[k]), tau_half)
+        if val == 0.0:
+            fixed_zero.add(vid)
         bounds[k] = (val, val)
         values[k] = val
 
+    log.debug("refined n=%d: %d step LPs, %d witness zeros, %d forced ones", g.n, g.n - zeros - ones, zeros, ones)
     _validate(LpProblem(np.ones(g.n), base.rows + [sum_row], [(0.0, 1.0)] * g.n), values, tau_lp, iters)
     return LpSolution(values, float(values.sum()), "optimal", iters, labels=g.vertices)
 

@@ -9,6 +9,7 @@ import numpy as np
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import STATUS_OPTIMAL, ExactResult
 from vcgap.graph_core import Graph, verify_cover
+from vcgap.lp_relax import TAU_HALF, TAU_LP, LpProblem, build_vc_lp, simplex_solve
 from vcgap.sdp_solve import VectorEmbedding
 
 
@@ -45,6 +46,13 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
     return Graph.build(range(n), edges)
 
 
+def relabeled(g: Graph, seed) -> Graph:
+    """Graph isomorphic to g on 0..n-1, vertices permuted by a seeded shuffle."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    new = {v: int(perm[i]) for i, v in enumerate(g.vertices)}
+    return Graph.build(range(g.n), [(new[u], new[v]) for u, v in g.edges])
+
+
 def embedding_of(vectors: np.ndarray) -> VectorEmbedding:
     """Embedding of given rows (row 0 the distinguished vector, row v + 1
     vertex v), origin products taken row by row as extract_vectors does."""
@@ -62,6 +70,33 @@ def exact_vc_enumerate(g: Graph, limit_n: int = 22) -> ExactResult:
             if not verify_cover(g, cover):
                 return ExactResult(STATUS_OPTIMAL, size, cover, 0)
     raise AssertionError("unreachable: the full vertex set always covers")
+
+
+def sequential_lp_refine(g: Graph, z_star: float, tau_half: float = TAU_HALF, order=None) -> np.ndarray:
+    """Reference for extreme_point_refine: one step LP per vertex, no
+    shortcuts. Each vertex in `order` is minimized over the optimal face
+    with the earlier ones fixed at their snapped minima; returns the values
+    in vertex id order."""
+    z = z_star
+    if abs(2 * z - round(2 * z)) <= 1e-6 * max(1.0, g.n):
+        z = round(2 * z) / 2.0
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    base = build_vc_lp(g)
+    sum_row = (np.ones(g.n), "=", z)
+    bounds = [(0.0, 1.0)] * g.n
+    values = np.zeros(g.n)
+    for vid in g.vertices if order is None else order:
+        k = pos[vid]
+        obj = np.zeros(g.n)
+        obj[k] = 1.0
+        sol = simplex_solve(LpProblem(obj, base.rows + [sum_row], list(bounds)), TAU_LP)
+        if sol.status != "optimal":
+            raise ArgumentError(f"step LP for vertex {vid} came back {sol.status}")
+        val = float(sol.values[k])
+        val = next((level for level in (0.0, 0.5, 1.0) if abs(val - level) <= tau_half), val)
+        bounds[k] = (val, val)
+        values[k] = val
+    return values
 
 
 def brute_force_min_cover(g: Graph) -> int:

@@ -149,6 +149,29 @@ class TestBatchSpecValidation:
         assert not (tmp_path / "out").exists()
 
 
+# generated entries no instance can be built from
+UNBUILDABLE_ENTRIES = {
+    "star-size-not-integral": {"model": "star_union", "n": 8, "parameter": 2.7, "seed": 1},
+    "probability-above-one": {"model": "gnp", "n": 8, "parameter": 1.5, "seed": 1},
+    "unknown-model": {"model": "nosuch", "n": 8, "parameter": 0.3, "seed": 1},
+}
+
+
+class TestUnbuildableCorpusEntry:
+    @pytest.mark.parametrize("entry", list(UNBUILDABLE_ENTRIES.values()), ids=list(UNBUILDABLE_ENTRIES))
+    def test_rejected_naming_the_entry_before_any_worker(self, entry, tmp_path, capsys, monkeypatch):
+        _forbid_workers(monkeypatch)
+        doc = {"corpus": [GEN_ENTRY, entry], "jobs": 2}
+        with pytest.raises(ArgumentError, match="corpus entry 1"):
+            run_batch(doc)
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["batch", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "corpus entry 1" in err and entry["model"] in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunBatch:
     BATCH = {
         "corpus": [

@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -10,8 +11,11 @@ from helpers import (
     cycle_graph,
     half_integral_grid_optimum,
     random_gnp,
+    relabeled,
+    sequential_lp_refine,
     star_graph,
 )
+from vcgap import generate_graph, lp_relax
 from vcgap.bipartite_vc import maximal_matching_cover
 from vcgap.errors import ArgumentError, ContractViolation
 from vcgap.exact_oracle import exact_vc
@@ -173,6 +177,47 @@ class TestExtremePointRefine:
                 assert list(sol.values) == lex_min_optimal_grid_point(g, order), (g, order)
                 checked += 1
         assert checked == 3 * len(graphs)
+
+    @pytest.mark.parametrize("variant", [0, 1, 2])
+    def test_equals_sequential_lp_reference_on_sparse_graphs(self, variant):
+        # the sparse_kernel pool's shapes: gnp n=48 p=0.02 and star unions n=48-60
+        specs = [("gnp", 48, 0.02, 50_000 + k) for k in range(3)]
+        specs += [("star_union", 48 + 6 * k, 3 + k, 51_000 + k) for k in range(3)]
+        for k, spec in enumerate(specs):
+            g = generate_graph(*spec)
+            if variant:
+                g = relabeled(g, (variant, k))
+            z = simplex_solve(build_vc_lp(g)).objective_value
+            assert np.array_equal(extreme_point_refine(g, z).values, sequential_lp_refine(g, z)), spec
+
+    def test_equals_sequential_lp_reference_in_three_orders(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            g = random_gnp(int(rng.integers(1, 15)), float(rng.choice([0.1, 0.2, 0.35, 0.55])), seed=int(rng.integers(1 << 30)))
+            z = simplex_solve(build_vc_lp(g)).objective_value
+            shuffled = tuple(int(v) for v in rng.permutation(g.vertices))
+            for order in (g.vertices, tuple(reversed(g.vertices)), shuffled):
+                refined = extreme_point_refine(g, z, order=order).values
+                assert np.array_equal(refined, sequential_lp_refine(g, z, order=order)), (g, order)
+
+    def test_star_union_solves_one_step_lp_per_star_or_one_in_all(self, monkeypatch):
+        # 12 four-vertex stars, each center numbered before its leaves
+        g = generate_graph("star_union", 48, 4, seed=1)
+        calls = []
+        monkeypatch.setattr(lp_relax, "simplex_solve", lambda *a: calls.append(a) or simplex_solve(*a))
+        # id order: each center needs its LP, then the witness zeros its leaves
+        extreme_point_refine(g, 12.0)
+        assert len(calls) == 12
+        # reversed: the first LP zeros every leaf, and the zeros force the centers
+        calls.clear()
+        extreme_point_refine(g, 12.0, order=tuple(reversed(g.vertices)))
+        assert len(calls) == 1
+
+    def test_logs_step_lps_witness_zeros_and_forced_ones(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="vcgap.lp_relax")
+        g = generate_graph("star_union", 48, 4, seed=1)
+        extreme_point_refine(g, 12.0, order=tuple(reversed(g.vertices)))
+        assert caplog.messages == ["refined n=48: 1 step LPs, 35 witness zeros, 12 forced ones"]
 
 
 def lex_min_optimal_grid_point(g: Graph, order) -> list[float]:
