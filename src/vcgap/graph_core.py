@@ -1,6 +1,7 @@
 """Immutable undirected graphs: DIMACS parsing, induced subgraphs, the
-doubled-graph construction, odd-cycle detection, and cover verification.
-A cover is the frozenset of the vertex ids in it.
+doubled-graph construction, odd-cycle detection, cover verification, and
+`to_plain`, the JSON form of every trace record. A cover is the frozenset of
+the vertex ids in it.
 
 Vertex ids are stable integers that survive induced subgraphs; the doubled
 graph numbers its vertices by position, so combined vertices i and n+i are
@@ -10,7 +11,7 @@ the two copies of the i-th base vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ArgumentError, ContractViolation, ParseError, check_int, check_keys, is_int
@@ -58,8 +59,25 @@ class Graph:
 
     def to_json(self) -> str:
         """Canonical JSON form: vertices relabeled 0..n-1 in sorted id order."""
-        pos = {v: i for i, v in enumerate(self.vertices)}
-        return json.dumps({"n": self.n, "edges": [[pos[u], pos[v]] for u, v in self.edges]})
+        return json.dumps(to_plain(self))
+
+
+def to_plain(value):
+    """The JSON-ready form of a record: a Graph as its canonical
+    {"n", "edges"} document, a dataclass as the dict of its fields in
+    declaration order (fields marked metadata={"json": False} left out),
+    every tuple and list as a fresh list and every dict as a fresh dict, with
+    their items converted the same way; anything else as it is."""
+    if isinstance(value, Graph):
+        pos = {v: i for i, v in enumerate(value.vertices)}
+        return {"n": value.n, "edges": [[pos[u], pos[v]] for u, v in value.edges]}
+    if is_dataclass(value):
+        return {f.name: to_plain(getattr(value, f.name)) for f in fields(value) if f.metadata.get("json", True)}
+    if isinstance(value, (tuple, list)):
+        return [to_plain(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_plain(item) for key, item in value.items()}
+    return value
 
 
 def graph_from_json(text: str) -> Graph:

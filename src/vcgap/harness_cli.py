@@ -4,8 +4,9 @@ emission for researchers running falsification sweeps.
 Subcommands: solve / exact / baseline / gen / batch / probe. A single JSON
 config document carries the experiment's tolerances and thresholds;
 the VCGAP_CONFIG environment variable supplies it when --config is absent.
-Exit codes: 0 success, 1 usage or input error, 2 contract violation (a
-finding worth investigating), 3 I/O failure.
+Exit codes: 0 success, 1 usage or input error (an input file that is not
+UTF-8 text among them), 2 contract violation (a finding worth
+investigating), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import (
     is_real,
 )
 from .exact_oracle import STATUS_OPTIMAL, exact_vc
-from .graph_core import Graph, duplicate_join, graph_from_json, parse_dimacs, write_dimacs
+from .graph_core import Graph, duplicate_join, graph_from_json, parse_dimacs, to_plain, write_dimacs
 from .lp_relax import HalfIntegralityViolation
 from .pipeline import (
     DEFAULT_CONFIG,
@@ -167,12 +168,9 @@ def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n:
             # without a kernel the residual is g itself, whose optimum is known
             res_oracle = oracle if residual is g else exact_vc(residual, cfg.oracle_budget)
             if res_oracle.status == STATUS_OPTIMAL:
-                row["lemma2"] = check_lemma2_bounds(
-                    single.objective_value,
-                    trace.z_sdp_doubled,
-                    res_oracle.size,
-                    cfg.tau_cmp,
-                ).to_dict()
+                row["lemma2"] = to_plain(
+                    check_lemma2_bounds(single.objective_value, trace.z_sdp_doubled, res_oracle.size, cfg.tau_cmp)
+                )
     return row
 
 
@@ -189,15 +187,18 @@ def _worker(args: tuple) -> dict:
 
 def expand_corpus(corpus: list[dict]) -> list[dict]:
     """One spec per instance: file entries pass through, generated entries
-    expand `count` consecutive seeds. Unknown or missing keys, non-integer
-    `n`, `seed` or `count`, and a `model` and `parameter` that generate_graph
-    rejects raise ArgumentError."""
+    expand `count` consecutive seeds. Unknown or missing keys, a `file` or
+    `id` that is not a string, non-integer `n`, `seed` or `count`, and a
+    `model` and `parameter` that generate_graph rejects raise ArgumentError."""
     if not isinstance(corpus, list):
         raise ArgumentError(f"corpus must be a JSON array, got {corpus!r}")
     specs = []
     for index, entry in enumerate(corpus):
         if isinstance(entry, dict) and "file" in entry:
             check_keys("corpus entry", entry, ("file",), ("id",))
+            for key in ("file", "id"):
+                if key in entry and not isinstance(entry[key], str):
+                    raise ArgumentError(f"corpus entry {index} {entry!r}: {key} must be a string, got {entry[key]!r}")
             specs.append(dict(entry))
             continue
         check_keys("corpus entry", entry, ("model", "n", "parameter"), ("seed", "count"))
@@ -450,7 +451,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ArgumentError, json.JSONDecodeError) as exc:
+    except (ParseError, ArgumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (ContractViolation, SolverError, ExtractionError, HalfIntegralityViolation) as exc:
@@ -543,7 +544,7 @@ def _dispatch(args) -> int:
     _print_summary(instance_id, trace)
     if args.dump_gram and trace.gram is not None:
         doc = {
-            "graph": json.loads(trace.residual.to_json()),
+            "graph": to_plain(trace.residual),
             "doubled": True,
             "gram": json.loads(trace.gram.to_json()),
         }
@@ -570,7 +571,7 @@ def _probe_report(base: Graph, gram, doubled: bool, th: Thresholds, cfg: Pipelin
         "property_double_prime": a.rep_d.to_dict(),
         "epsilon_subgraph_prime": eps.to_dict(),
         "epsilon_subgraph_double_prime": eps_other.to_dict(),
-        "odd_cycle_probe": probe.to_dict(),
+        "odd_cycle_probe": to_plain(probe),
     }
 
 

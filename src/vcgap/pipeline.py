@@ -5,7 +5,6 @@ with every decision, certificate, repair, and fallback recorded in a trace.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -18,6 +17,7 @@ from .graph_core import (
     Graph,
     duplicate_join,
     induced_subgraph,
+    to_plain,
     verify_cover,
 )
 from .lp_relax import (
@@ -142,19 +142,10 @@ class RunTrace:
     gram: GramSolution | None = field(default=None, compare=False, repr=False, metadata={"json": False})
 
     def to_dict(self) -> dict:
-        """Flat JSON-ready document: the graph in its canonical form, every
-        tuple and list as a fresh list (callers append to the copied flags)."""
-        doc = {}
-        for f in fields(self):
-            if not f.metadata.get("json", True):
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, Graph):
-                value = json.loads(value.to_json())
-            elif isinstance(value, (tuple, list)):
-                value = list(value)
-            doc[f.name] = value
-        return doc
+        """Flat JSON-ready document (`to_plain`): the graph in its canonical
+        form, every tuple and list as a fresh list (callers append to the
+        copied flags)."""
+        return to_plain(self)
 
 
 def _empty_decomposition(g: Graph) -> HalfIntegralDecomposition:
@@ -300,7 +291,7 @@ def _certify_theorem3(trace: RunTrace, cover: frozenset[int], h: Graph, *assumpt
     assumptions, unless the cover takes every vertex and certifies nothing."""
     cert = certify_theorem3(len(cover), h.n - len(cover), h.n)
     if cert is not None:
-        trace.certificates.append(replace(cert, assumptions=cert.assumptions + assumptions).to_dict())
+        trace.certificates.append(to_plain(replace(cert, assumptions=cert.assumptions + assumptions)))
 
 
 def _arbitrary_with_bound(
@@ -321,7 +312,7 @@ def _arbitrary_with_bound(
         "transfer to the optimum (recorded, not oracle-checked here)"
     )
     inputs = {**cert.inputs, "theorem4_lower_bound": bound}
-    trace.certificates.append(replace(cert, inputs=inputs, assumptions=cert.assumptions + (note,)).to_dict())
+    trace.certificates.append(to_plain(replace(cert, inputs=inputs, assumptions=cert.assumptions + (note,))))
     return maximal_matching_cover(h)
 
 
@@ -329,7 +320,7 @@ def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: Pipeline
     """Both product conditions hold: solve the band subgraph of the first copy
     exactly when bipartite, else record the odd-cycle probe and fall back."""
     eps, _, probe = a.band_probe(cfg.thresholds, cfg.probe_tol)
-    trace.theorem6_probe = probe.to_dict()
+    trace.theorem6_probe = to_plain(probe)
 
     if not probe.bipartite:
         trace.step_taken = STEP_THEOREM6_FALLBACK

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ArgumentError, check_real
-from .graph_core import Bipartition, Graph, OddCycle, find_odd_cycle, induced_subgraph
+from .graph_core import Bipartition, Graph, OddCycle, find_odd_cycle, induced_subgraph, to_plain
 from .sdp_solve import TAU_NORM, VectorEmbedding
 
 PROBE_TOL = 0.004  # ten times the paper's band width
@@ -65,14 +65,7 @@ class PropertyReport:
         return self.holds_1a and self.holds_1b
 
     def to_dict(self) -> dict:
-        return {
-            "count_below_half": self.count_below_half,
-            "count_above_band": self.count_above_band,
-            "n": self.n,
-            "holds_1a": self.holds_1a,
-            "holds_1b": self.holds_1b,
-            "holds": self.holds,
-        }
+        return {**to_plain(self), "holds": self.holds}
 
 
 def classify_property1(
@@ -113,14 +106,6 @@ class RatioCertificate:
     def __post_init__(self):
         if not self.claimed_ratio_bound < 2.0:
             raise ArgumentError(f"certificate bound {self.claimed_ratio_bound} is not < 2")
-
-    def to_dict(self) -> dict:
-        return {
-            "claimed_ratio_bound": self.claimed_ratio_bound,
-            "source": self.source,
-            "inputs": dict(self.inputs),
-            "assumptions": list(self.assumptions),
-        }
 
 
 def certify_theorem2(n: int, k: float) -> RatioCertificate:
@@ -206,14 +191,6 @@ class PerpendicularCompletionReport:
     identity_defect: float  # || v - 0.5 * sum(v_i) ||
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "perpendicularity_defect": self.perpendicularity_defect,
-            "product_defect": self.product_defect,
-            "identity_defect": self.identity_defect,
-            "passed": self.passed,
-        }
-
 
 def perpendicular_completion_check(
     quad: Sequence[np.ndarray], v: np.ndarray, tol: float = 1e-4, tau_norm: float = TAU_NORM
@@ -263,21 +240,6 @@ class OddCycleProbe:
     chain_applicable: bool = False
     contradiction_flagged: bool = False
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "bipartite": self.bipartite,
-            "classes": [sorted(c) for c in self.classes] if self.classes else None,
-            "cycle": list(self.cycle) if self.cycle else None,
-            "anchor_edge": list(self.anchor_edge) if self.anchor_edge else None,
-            "u_norm": self.u_norm,
-            "contradiction_magnitude": self.contradiction_magnitude,
-            "per_edge_defects": list(self.per_edge_defects),
-            "collapse_defects": list(self.collapse_defects),
-            "chain_applicable": self.chain_applicable,
-            "contradiction_flagged": self.contradiction_flagged,
-            "note": self.note,
-        }
 
 
 def odd_cycle_probe(

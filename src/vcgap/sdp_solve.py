@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArgumentError, SolverError, VcgapError, check_int, check_keys, check_real, is_real
-from .graph_core import DoubledGraph, Graph
+from .graph_core import DoubledGraph, Graph, to_plain
 
 TAU_FEAS = 1e-5
 TAU_FACTOR = 1e-4
@@ -207,18 +207,11 @@ class GramSolution:
     converged: bool
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dim": self.matrix.shape[0],
-                "matrix": [float(x) for x in self.matrix.ravel()],
-                "objective_value": self.objective_value,
-                "max_equality_violation": self.max_equality_violation,
-                "max_box_violation": self.max_box_violation,
-                "min_eigenvalue": self.min_eigenvalue,
-                "iterations": self.iterations,
-                "converged": self.converged,
-            }
-        )
+        """`dim`, then every field in declaration order, the matrix as its
+        dim * dim entries in row order."""
+        doc = {"dim": self.matrix.shape[0], **to_plain(self)}
+        doc["matrix"] = [float(x) for x in self.matrix.ravel()]
+        return json.dumps(doc)
 
 
 def gram_from_json(text: str) -> GramSolution:
@@ -509,16 +502,6 @@ class Lemma2Verdict:
     lower_margin: float  # z_doubled - 2*z_single, should be >= -tau
     upper_margin: float  # 2*z_exact - z_doubled, should be >= -tau
     consistent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "z_single": self.z_single,
-            "z_doubled": self.z_doubled,
-            "z_exact": self.z_exact,
-            "lower_margin": self.lower_margin,
-            "upper_margin": self.upper_margin,
-            "consistent": self.consistent,
-        }
 
 
 def check_lemma2_bounds(z4: float, z6: float, z_exact: float, tau_cmp: float = TAU_CMP) -> Lemma2Verdict:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import json
+from dataclasses import fields
 
 import numpy as np
+from scipy.optimize import linprog
 
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import STATUS_OPTIMAL, ExactResult
 from vcgap.graph_core import Graph, verify_cover
-from vcgap.lp_relax import TAU_HALF, TAU_LP, LpProblem, build_vc_lp, simplex_solve
+from vcgap.lp_relax import TAU_HALF
 from vcgap.sdp_solve import VectorEmbedding
 
 
@@ -53,6 +56,16 @@ def relabeled(g: Graph, seed) -> Graph:
     return Graph.build(range(g.n), [(new[u], new[v]) for u, v in g.edges])
 
 
+def check_plain_record(record, doc: dict, extra: tuple[str, ...] = ()) -> None:
+    """`doc`, the JSON form of the dataclass `record`, has exactly the
+    record's field names in declaration order, without a trace's `residual`
+    and `gram`, then `extra`; and it comes back equal from a JSON round trip,
+    so no tuple is left in it."""
+    names = [f.name for f in fields(record) if f.name not in ("residual", "gram")]
+    assert list(doc) == names + list(extra), list(doc)
+    assert json.loads(json.dumps(doc)) == doc
+
+
 def embedding_of(vectors: np.ndarray) -> VectorEmbedding:
     """Embedding of given rows (row 0 the distinguished vector, row v + 1
     vertex v), origin products taken row by row as extract_vectors does."""
@@ -74,25 +87,36 @@ def exact_vc_enumerate(g: Graph, limit_n: int = 22) -> ExactResult:
 
 def sequential_lp_refine(g: Graph, z_star: float, tau_half: float = TAU_HALF, order=None) -> np.ndarray:
     """Reference for extreme_point_refine: one step LP per vertex, no
-    shortcuts. Each vertex in `order` is minimized over the optimal face
-    with the earlier ones fixed at their snapped minima; returns the values
-    in vertex id order."""
+    shortcuts, each solved by scipy's HiGHS rather than the package's own
+    simplex. Each vertex in `order` is minimized over the optimal face with
+    the earlier ones fixed at their snapped minima; returns the values in
+    vertex id order."""
     z = z_star
     if abs(2 * z - round(2 * z)) <= 1e-6 * max(1.0, g.n):
         z = round(2 * z) / 2.0
     pos = {v: i for i, v in enumerate(g.vertices)}
-    base = build_vc_lp(g)
-    sum_row = (np.ones(g.n), "=", z)
+    # each edge row x_u + x_v >= 1 written as -x_u - x_v <= -1
+    edge_rows = np.zeros((g.m, g.n))
+    for row, (u, v) in enumerate(g.edges):
+        edge_rows[row, [pos[u], pos[v]]] = -1.0
     bounds = [(0.0, 1.0)] * g.n
     values = np.zeros(g.n)
     for vid in g.vertices if order is None else order:
         k = pos[vid]
         obj = np.zeros(g.n)
         obj[k] = 1.0
-        sol = simplex_solve(LpProblem(obj, base.rows + [sum_row], list(bounds)), TAU_LP)
-        if sol.status != "optimal":
-            raise ArgumentError(f"step LP for vertex {vid} came back {sol.status}")
-        val = float(sol.values[k])
+        sol = linprog(
+            obj,
+            A_ub=edge_rows if g.m else None,
+            b_ub=-np.ones(g.m) if g.m else None,
+            A_eq=np.ones((1, g.n)),
+            b_eq=[z],
+            bounds=bounds,
+            method="highs",
+        )
+        if sol.status != 0:
+            raise ArgumentError(f"step LP for vertex {vid} failed: {sol.message}")
+        val = float(sol.x[k])
         val = next((level for level in (0.0, 0.5, 1.0) if abs(val - level) <= tau_half), val)
         bounds[k] = (val, val)
         values[k] = val

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import complete_graph
 from vcgap import harness_cli
-from vcgap.errors import ArgumentError
+from vcgap.errors import ArgumentError, ContractViolation, ParseError, SolverError, VcgapError
 from vcgap.graph_core import Bipartition, OddCycle, find_odd_cycle, parse_dimacs, write_dimacs
 from vcgap.harness_cli import (
     CSV_COLUMNS,
@@ -169,6 +169,27 @@ class TestUnbuildableCorpusEntry:
         assert main(["batch", str(spec), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "corpus entry 1" in err and entry["model"] in err
+        assert not (tmp_path / "out").exists()
+
+
+# file entries whose file or id is not a string
+NON_STRING_FILE_ENTRIES = {
+    "file-not-string": ([{"file": 123}], "corpus entry 0", "file must be a string"),
+    "id-not-string": ([{"file": "a.dimacs"}, {"file": "b.dimacs", "id": 5}], "corpus entry 1", "id must be a string"),
+}
+
+
+class TestNonStringFileEntry:
+    @pytest.mark.parametrize("corpus,entry,message", list(NON_STRING_FILE_ENTRIES.values()), ids=list(NON_STRING_FILE_ENTRIES))
+    def test_rejected_naming_the_entry_before_any_worker(self, corpus, entry, message, tmp_path, capsys, monkeypatch):
+        _forbid_workers(monkeypatch)
+        with pytest.raises(ArgumentError, match=f"{entry} .*: {message}"):
+            run_batch({"corpus": corpus})
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps({"corpus": corpus}))
+        assert main(["batch", str(spec), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert entry in err and message in err
         assert not (tmp_path / "out").exists()
 
 
@@ -475,8 +496,6 @@ class TestCliMain:
         capsys.readouterr()
 
     def test_contract_violation_exit_2(self, tmp_path, capsys, monkeypatch):
-        from vcgap.errors import ContractViolation
-
         def boom(*args, **kwargs):
             raise ContractViolation("forced")
 
@@ -520,6 +539,17 @@ class TestCliMain:
         assert main(["solve", str(dimacs)]) == 2
         assert "HalfIntegralityViolation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", [False, True], ids=["input-file", "config-file"])
+    def test_non_utf8_file_exit_1(self, config, tmp_path, capsys):
+        blob = tmp_path / "blob.bin"
+        blob.write_bytes(b"\xff\xfe")
+        dimacs = tmp_path / "k3.dimacs"
+        dimacs.write_text(write_dimacs(complete_graph(3)))
+        argv = ["solve", str(dimacs), "--no-exact", "--config", str(blob)] if config else ["solve", str(blob)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("input error")
+
     def test_config_via_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sdp": {"max_iter": 40000}}))
@@ -533,3 +563,34 @@ class TestCliMain:
         assert main(["gen", "--model", "gnp", "--n", "4", "--parameter", "1.0", "--seed", "0"]) == 0
         text = capsys.readouterr().out
         assert parse_dimacs(text).m == 6
+
+
+# README's exit code for every package error
+EXIT_CODES = {
+    ParseError: 1,
+    ArgumentError: 1,
+    ContractViolation: 2,
+    SolverError: 2,
+    ExtractionError: 2,
+    HalfIntegralityViolation: 2,
+}
+
+
+def _subclasses(cls) -> set[type]:
+    return {sub for direct in cls.__subclasses__() for sub in {direct} | _subclasses(direct)}
+
+
+class TestExitCodes:
+    def test_every_package_error_has_a_case(self):
+        assert _subclasses(VcgapError) == set(EXIT_CODES)
+
+    @pytest.mark.parametrize("error,code", list(EXIT_CODES.items()), ids=[e.__name__ for e in EXIT_CODES])
+    def test_package_error_gives_its_exit_code(self, error, code, capsys, monkeypatch):
+        exc = error([(0, 0.3)]) if error is HalfIntegralityViolation else error("forced")
+
+        def raise_it(args):
+            raise exc
+
+        monkeypatch.setattr(harness_cli, "_dispatch", raise_it)
+        assert main(["baseline", "g.dimacs"]) == code
+        assert str(exc) in capsys.readouterr().err

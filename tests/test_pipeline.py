@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import complete_graph, cycle_graph, embedding_of, random_gnp, star_graph
+from helpers import check_plain_record, complete_graph, cycle_graph, embedding_of, random_gnp, star_graph
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import ExactResult, exact_vc
 from vcgap.graph_core import Graph, duplicate_join, verify_cover, write_dimacs
-from vcgap.harness_cli import generate_graph, main
+from vcgap.harness_cli import CSV_COLUMNS, generate_graph, main
 from vcgap.pipeline import (
     STEP_ARBITRARY_PRIME,
     STEP_BASELINE,
@@ -146,12 +146,10 @@ class TestMahdisRun:
         assert "theorem4_lower_bound" in cert["inputs"]
 
     def test_trace_serialization_roundtrip(self):
-        import json
-
         trace = mahdis_run(complete_graph(3))
+        assert trace.residual is not None and trace.gram is not None and trace.certificates
         doc = trace.to_dict()
-        again = json.loads(json.dumps(doc))
-        assert again == doc
+        check_plain_record(trace, doc)
         assert doc["schema_version"] == "1"
         assert doc["graph"]["n"] == 3
         assert isinstance(doc["in_cover"], list)
@@ -308,6 +306,12 @@ class TestPipelineConfig:
         block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
         assert block == PipelineConfig().to_dict()
         assert PipelineConfig.from_dict(block) == PipelineConfig()
+
+    def test_readme_csv_columns_are_the_report_columns(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme.split("### CSV columns", 1)[1]
+        listed = section.split("`", 2)[1]
+        assert tuple(column.strip() for column in listed.split(",")) == CSV_COLUMNS
 
     @pytest.mark.parametrize(
         "make",

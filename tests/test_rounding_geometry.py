@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import complete_graph, cycle_graph, embedding_of
+from helpers import check_plain_record, complete_graph, cycle_graph, embedding_of
 from vcgap.errors import ArgumentError
 from vcgap.graph_core import (
     Bipartition,
@@ -11,6 +11,7 @@ from vcgap.graph_core import (
     duplicate_join,
     find_odd_cycle,
     induced_subgraph,
+    to_plain,
     verify_cover,
 )
 from vcgap.pipeline import analyze_doubled
@@ -94,6 +95,12 @@ class TestClassifyProperty1:
             assert report.count_above_band == sum(1 for p in products if p > th.band_top)
             assert report.n == n
 
+    def test_json_form_is_the_fields_and_holds(self):
+        report = classify_property1(embedding_from_products([0.3, 0.5, 0.9]), range(3))
+        doc = report.to_dict()
+        check_plain_record(report, doc, extra=("holds",))
+        assert doc["holds"] is report.holds is False
+
 
 class TestThresholdCut:
     def test_k2_feasible_split(self):
@@ -141,6 +148,14 @@ class TestCertificates:
     def test_theorem3_paper_numbers_exact(self):
         cert = certify_theorem3(999999, 1, 10**6)
         assert cert.claimed_ratio_bound == 1.999998
+
+    @pytest.mark.parametrize("cert", [certify_theorem2(10, 4.0), certify_theorem3(6, 4, 10)], ids=["theorem2", "theorem3"])
+    def test_json_form_is_the_fields(self, cert):
+        doc = to_plain(cert)
+        check_plain_record(cert, doc)
+        assert doc["assumptions"] == list(cert.assumptions)
+        doc["inputs"]["n"] = -1
+        assert cert.inputs["n"] == 10
 
     def test_theorem3_degenerate_returns_none(self):
         assert certify_theorem3(10, 0, 10) is None
@@ -241,6 +256,11 @@ class TestPerpendicularCompletion:
             assert report.passed
             assert report.identity_defect <= 1e-5
 
+    def test_json_form_is_the_fields(self):
+        basis = [np.eye(6)[i] for i in range(4)]
+        report = perpendicular_completion_check(basis, 0.5 * sum(basis))
+        check_plain_record(report, to_plain(report))
+
     def test_rejects_non_unit(self):
         basis = [np.eye(4)[i] for i in range(4)]
         with pytest.raises(ArgumentError):
@@ -295,6 +315,9 @@ class TestOddCycleProbe:
         probe = odd_cycle_probe(emb, eps, None)
         assert probe.bipartite
         assert probe.classes is not None
+        doc = to_plain(probe)
+        check_plain_record(probe, doc)
+        assert doc["classes"] == [[0, 2], [1, 3]] and doc["cycle"] is None
 
     def test_constructed_five_cycle_breaks_somewhere(self):
         # The cycle premises hold exactly, so the chain must break at the
@@ -310,6 +333,9 @@ class TestOddCycleProbe:
         worst = max(max(probe.per_edge_defects), probe.contradiction_magnitude)
         assert worst > 0.05
         assert not (probe.chain_applicable and not probe.contradiction_flagged)
+        doc = to_plain(probe)
+        check_plain_record(probe, doc)
+        assert doc["cycle"] == list(probe.cycle) and doc["anchor_edge"] == [5, 6] and doc["classes"] is None
 
     def test_missing_anchor_reported(self):
         emb, eps, _ = c5_band_embedding()

@@ -1,9 +1,12 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from helpers import brute_force_min_cover, complete_graph, cycle_graph, random_gnp
+from helpers import brute_force_min_cover, check_plain_record, complete_graph, cycle_graph, random_gnp
 from vcgap.errors import ArgumentError
-from vcgap.graph_core import Graph, duplicate_join
+from vcgap.graph_core import Graph, duplicate_join, to_plain
 from vcgap.sdp_solve import (
     ExtractionError,
     GramSolution,
@@ -149,6 +152,7 @@ class TestAdmmSolve:
     def test_gram_json_roundtrip(self):
         gs = admm_solve(build_sdp_single(complete_graph(2)), FAST)
         back = gram_from_json(gs.to_json())
+        assert list(json.loads(gs.to_json())) == ["dim"] + [f.name for f in fields(GramSolution)]
         assert np.array_equal(back.matrix, gs.matrix)
         assert back.objective_value == gs.objective_value
         assert back.converged == gs.converged
@@ -249,3 +253,7 @@ class TestLemma2:
         verdict = check_lemma2_bounds(z4=2.0, z6=3.0, z_exact=2)
         assert not verdict.consistent
         assert verdict.lower_margin == pytest.approx(-1.0)
+
+    def test_json_form_is_the_fields(self):
+        verdict = check_lemma2_bounds(z4=1.0, z6=2.0, z_exact=1)
+        check_plain_record(verdict, to_plain(verdict))
