@@ -4,9 +4,9 @@ emission for researchers running falsification sweeps.
 Subcommands: solve / exact / baseline / gen / batch / probe. A single JSON
 config document carries the experiment's tolerances and thresholds;
 the VCGAP_CONFIG environment variable supplies it when --config is absent.
-Exit codes: 0 success, 1 usage or input error (an input file that is not
-UTF-8 text among them), 2 contract violation (a finding worth
-investigating), 3 I/O failure.
+Exit codes: 0 success, 1 usage or input error (a JSON file that is not
+UTF-8 among them), 2 contract violation (a finding worth investigating),
+3 I/O failure.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .sdp_solve import (
 _MODEL_CODES = {"gnp": 1, "bipartite_gnp": 2, "odd_cycle_rich": 3, "star_union": 4}
 
 BATCH_KEYS = ("corpus", "pipeline", "oracle_max_n", "jobs")
+ORACLE_MAX_N = 32  # largest graph the oracle is run on by default
 
 CSV_COLUMNS = (
     "instance_id",
@@ -138,11 +139,11 @@ def _instance_id(spec: dict) -> str:
 
 def _instance_graph(spec: dict) -> Graph:
     if "file" in spec:
-        return parse_dimacs(Path(spec["file"]).read_text())
+        return parse_dimacs(Path(spec["file"]).read_bytes())
     return generate_graph(spec["model"], int(spec["n"]), float(spec["parameter"]), int(spec["seed"]))
 
 
-def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n: int = 32) -> dict:
+def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n: int = ORACLE_MAX_N) -> dict:
     """Full single-instance experiment: pipeline, oracle, baseline, and the
     single-graph relaxation of the working graph for the doubled-value bracket."""
     g = _instance_graph(spec)
@@ -229,7 +230,7 @@ def run_batch(batch_doc: dict, jobs: int | None = None) -> dict:
     jobs = batch_doc.get("jobs", 1) if jobs is None else jobs
     check_int("jobs", jobs)
     cfg = config_from_dict(PipelineConfig, batch_doc.get("pipeline", {}), "pipeline.")
-    oracle_max_n = batch_doc.get("oracle_max_n", 32)
+    oracle_max_n = batch_doc.get("oracle_max_n", ORACLE_MAX_N)
     check_int("oracle_max_n", oracle_max_n, low=0)
     specs = expand_corpus(batch_doc.get("corpus", []))
     args = [(spec, cfg, oracle_max_n) for spec in specs]
@@ -375,16 +376,21 @@ def emit_report(table: dict, fmt: str, out_dir: str | Path) -> list[Path]:
     raise ArgumentError(f"unknown format {fmt!r}; choose json, csv, or plotdata")
 
 
-def _load_config(path: str | None) -> dict:
-    path = path or os.environ.get("VCGAP_CONFIG")
-    return json.loads(Path(path).read_text()) if path else {}
-
-
-def _read_object(path: str, what: str) -> dict:
-    doc = json.loads(Path(path).read_text())
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in the file at `path`; ArgumentError naming `what` and
+    the path when the file is not UTF-8, not JSON or not an object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArgumentError(f"{what} {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ArgumentError(f"{what} {path} must be a JSON object, got {doc!r}")
     return doc
+
+
+def _load_config(path: str | None) -> dict:
+    path = path or os.environ.get("VCGAP_CONFIG")
+    return _read_json(path, "config") if path else {}
 
 
 def _print_summary(instance_id: str, trace: RunTrace) -> None:
@@ -451,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, ArgumentError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ParseError, ArgumentError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except (ContractViolation, SolverError, ExtractionError, HalfIntegralityViolation) as exc:
@@ -469,7 +475,7 @@ def _dispatch(args) -> int:
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
-            name = f"{args.model}-n{args.n}-p{args.parameter:g}-s{args.seed}.dimacs"
+            name = _instance_id(vars(args)) + ".dimacs"
             (out / name).write_text(text)
             print(out / name)
         else:
@@ -477,13 +483,13 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "baseline":
-        g = parse_dimacs(Path(args.path).read_text())
+        g = parse_dimacs(Path(args.path).read_bytes())
         _print_summary(Path(args.path).stem, two_approx_baseline(g))
         return 0
 
     cfg_doc = _load_config(args.config)
     if args.command == "batch":
-        batch_doc = _read_object(args.spec, "batch spec")
+        batch_doc = _read_json(args.spec, "batch spec")
         batch_doc.setdefault("pipeline", cfg_doc)
         table = run_batch(batch_doc, args.jobs)
         out_dir = args.out or "."
@@ -501,7 +507,7 @@ def _dispatch(args) -> int:
 
     cfg = PipelineConfig.from_dict(cfg_doc)
     if args.command == "probe":
-        doc = json.loads(Path(args.path).read_text())
+        doc = _read_json(args.path, "probe document")
         check_keys("probe document", doc, ("graph", "gram"), ("doubled", "thresholds"))
         base = graph_from_json(json.dumps(doc["graph"]))
         gram = gram_from_json(json.dumps(doc["gram"]))
@@ -527,7 +533,7 @@ def _dispatch(args) -> int:
         return 0
 
     # file-based single-instance commands
-    g = parse_dimacs(Path(args.path).read_text())
+    g = parse_dimacs(Path(args.path).read_bytes())
     instance_id = Path(args.path).stem
     if args.command == "exact":
         result = exact_vc(g, cfg.oracle_budget)

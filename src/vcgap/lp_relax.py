@@ -83,7 +83,7 @@ def build_vc_lp(g: Graph) -> LpProblem:
     return LpProblem(np.ones(g.n), rows, [(0.0, 1.0)] * g.n, labels=g.vertices)
 
 
-def simplex_solve(p: LpProblem, tau_lp: float = TAU_LP) -> LpSolution:
+def simplex_solve(p: LpProblem) -> LpSolution:
     """Two-phase dense tableau simplex returning a basic optimal solution.
 
     Variables fixed by their bounds are substituted out, the rest are shifted
@@ -104,9 +104,9 @@ def simplex_solve(p: LpProblem, tau_lp: float = TAU_LP) -> LpSolution:
         fc = coeffs[free]
         if not fc.any():
             ok = (
-                abs(shifted_rhs) <= tau_lp
+                abs(shifted_rhs) <= TAU_LP
                 if rel == "="
-                else (shifted_rhs <= tau_lp if rel == ">=" else shifted_rhs >= -tau_lp)
+                else (shifted_rhs <= TAU_LP if rel == ">=" else shifted_rhs >= -TAU_LP)
             )
             if not ok:
                 return LpSolution(None, None, "infeasible", 0, p.labels)
@@ -130,22 +130,22 @@ def simplex_solve(p: LpProblem, tau_lp: float = TAU_LP) -> LpSolution:
     values = x_base.copy()
     values[free] += y
     np.clip(values, lo, hi, out=values)
-    _validate(p, values, tau_lp, iters)
+    _validate(p, values, iters)
     return LpSolution(values, float(p.objective @ values), "optimal", iters, p.labels)
 
 
-def _validate(p: LpProblem, values: np.ndarray, tau_lp: float, iters: int) -> None:
+def _validate(p: LpProblem, values: np.ndarray, iters: int) -> None:
     for coeffs, rel, rhs in p.rows:
         lhs = float(coeffs @ values)
         bad = (
-            abs(lhs - rhs) > tau_lp
+            abs(lhs - rhs) > TAU_LP
             if rel == "="
-            else (lhs < rhs - tau_lp if rel == ">=" else lhs > rhs + tau_lp)
+            else (lhs < rhs - TAU_LP if rel == ">=" else lhs > rhs + TAU_LP)
         )
         if bad:
             raise SolverError(
                 f"optimal solution violates a row by {abs(lhs - rhs):.3g} "
-                f"(> {tau_lp:g}) after {iters} pivots"
+                f"(> {TAU_LP:g}) after {iters} pivots"
             )
 
 
@@ -296,57 +296,57 @@ def _pivot(T: np.ndarray, basis: np.ndarray, pr: int, pc: int) -> None:
 
 
 def extreme_point_refine(
-    g: Graph,
-    z_star: float,
-    tau_lp: float = TAU_LP,
-    tau_half: float = TAU_HALF,
-    order: Sequence[int] | None = None,
+    g: Graph, lp: LpSolution, tau_half: float = TAU_HALF, order: Sequence[int] | None = None
 ) -> LpSolution:
     """Pin down one extreme optimum of the relaxation by sequential minimization.
 
-    For each vertex in `order` (vertex id order by default), minimize its
-    variable over the optimal face (edge rows plus the sum pinned to z_star,
-    earlier variables fixed at their minimized values by bound tightening).
-    Every minimized value lands on the {0, 1/2, 1} grid for vertex cover
-    relaxations; values within tau_half of a grid level are snapped so the
-    face equality stays exactly consistent across iterations.
+    `lp` is an optimum of g's relaxation, as simplex_solve returns it. For
+    each vertex in `order` (vertex id order by default), minimize its
+    variable over the optimal face (edge rows plus the sum pinned to lp's
+    value, earlier variables fixed at their minimized values by bound
+    tightening). Every minimized value lands on the {0, 1/2, 1} grid for
+    vertex cover relaxations; values within tau_half of a grid level are
+    snapped so the face equality stays exactly consistent across iterations.
 
-    Each vertex is decided by the first of three rules that applies:
+    The witness is a point of the face that satisfies every fixing made so
+    far: first `lp` itself, then the last step LP's optimum. Each vertex is
+    decided by the first of three rules that applies:
 
-    1. Witness zero: the last step LP's optimum (the witness) snaps to 0 at
-       this vertex. The witness satisfies every fixing made since it was
-       solved and x >= 0, so the minimum is 0; it is fixed with no LP.
+    1. Witness zero: the witness snaps to 0 at this vertex. It satisfies
+       x >= 0, so the minimum is 0; the vertex is fixed with no LP.
     2. Forced one: a neighbour is already fixed at 0, so its edge row and
        the bound x <= 1 force 1; it is fixed with no LP. The witness stays
        on the face, since it has that neighbour at ~0 and so this vertex
        at ~1.
     3. Otherwise the step LP is solved, and its optimum becomes the witness.
 
-    The first vertex always gets an LP, so an inconsistent z_star still
-    raises ContractViolation. The returned `iterations` counts the pivots of
-    the LPs solved, not of the vertices the first two rules fixed.
+    An `lp` that is not an optimum of g's relaxation raises
+    ContractViolation when a step LP comes back infeasible, and SolverError
+    when the refined values violate a row. The returned `iterations` counts
+    the pivots of the step LPs solved, not of `lp` nor of the vertices the
+    first two rules fixed.
     """
-    if g.n == 0:
-        return LpSolution(np.zeros(0), 0.0, "optimal", 0, labels=())
-    # The relaxation optimum is a multiple of 1/2; snap within tolerance.
-    z = z_star
-    if abs(2 * z - round(2 * z)) <= 1e-6 * max(1.0, g.n):
-        z = round(2 * z) / 2.0
+    if lp.status != "optimal" or lp.values is None or len(lp.values) != g.n:
+        raise ArgumentError(f"need an optimum with {g.n} values, got status {lp.status!r}")
     pos = {v: i for i, v in enumerate(g.vertices)}
     order = tuple(order) if order is not None else g.vertices
     if sorted(order) != sorted(g.vertices):
         raise ArgumentError("refinement order must be a permutation of the vertex ids")
+    # The relaxation optimum is a multiple of 1/2; snap within tolerance.
+    z = lp.objective_value
+    if abs(2 * z - round(2 * z)) <= 1e-6 * max(1.0, g.n):
+        z = round(2 * z) / 2.0
 
     base = build_vc_lp(g)
     sum_row = (np.ones(g.n), "=", z)
     bounds: list[tuple[float, float]] = [(0.0, 1.0)] * g.n
     values = np.zeros(g.n)
     fixed_zero: set[int] = set()
-    witness = None
+    witness = lp.values
     iters = zeros = ones = 0
     for vid in order:
         k = pos[vid]
-        if witness is not None and _snap(float(witness[k]), tau_half) == 0.0:
+        if _snap(float(witness[k]), tau_half) == 0.0:
             val = 0.0
             zeros += 1
         elif not fixed_zero.isdisjoint(g.adjacency[vid]):
@@ -355,13 +355,12 @@ def extreme_point_refine(
         else:
             obj = np.zeros(g.n)
             obj[k] = 1.0
-            sub = LpProblem(obj, base.rows + [sum_row], list(bounds), labels=g.vertices)
-            sol = simplex_solve(sub, tau_lp)
+            sol = simplex_solve(LpProblem(obj, base.rows + [sum_row], list(bounds), labels=g.vertices))
             iters += sol.iterations
             if sol.status != "optimal":
                 raise ContractViolation(
                     f"step LP for vertex {vid} came back {sol.status}; "
-                    f"z_star={z_star!r} is inconsistent with the relaxation"
+                    f"the given optimum (value {lp.objective_value!r}) is inconsistent with the relaxation"
                 )
             witness = sol.values
             val = _snap(float(witness[k]), tau_half)
@@ -371,7 +370,7 @@ def extreme_point_refine(
         values[k] = val
 
     log.debug("refined n=%d: %d step LPs, %d witness zeros, %d forced ones", g.n, g.n - zeros - ones, zeros, ones)
-    _validate(LpProblem(np.ones(g.n), base.rows + [sum_row], [(0.0, 1.0)] * g.n), values, tau_lp, iters)
+    _validate(LpProblem(np.ones(g.n), base.rows + [sum_row], [(0.0, 1.0)] * g.n), values, iters)
     return LpSolution(values, float(values.sum()), "optimal", iters, labels=g.vertices)
 
 
@@ -392,11 +391,11 @@ class HalfIntegralDecomposition:
     lp_value: float
 
 
-def classify_half_integral(s: LpSolution, tau_half: float = TAU_HALF) -> HalfIntegralDecomposition:
+def classify_half_integral(s: LpSolution) -> HalfIntegralDecomposition:
     """Snap an extreme optimum onto {0, 1/2, 1} and partition the vertex ids.
 
     Raises HalfIntegralityViolation when any coordinate is farther than
-    tau_half from every level (which would falsify extremality).
+    TAU_HALF from every level (which would falsify extremality).
     """
     if s.status != "optimal" or s.values is None:
         raise ArgumentError(f"cannot classify a solution with status {s.status!r}")
@@ -405,7 +404,7 @@ def classify_half_integral(s: LpSolution, tau_half: float = TAU_HALF) -> HalfInt
     sets: dict[float, set[int]] = {0.0: set(), 0.5: set(), 1.0: set()}
     for label, val in zip(labels, s.values):
         level = min(_LEVELS, key=lambda L: abs(val - L))
-        if abs(val - level) > tau_half:
+        if abs(val - level) > TAU_HALF:
             violations.append((label, float(val)))
         else:
             sets[level].add(label)
@@ -417,25 +416,16 @@ def classify_half_integral(s: LpSolution, tau_half: float = TAU_HALF) -> HalfInt
     )
 
 
-def nt_decompose(
-    g: Graph,
-    tau_lp: float = TAU_LP,
-    tau_half: float = TAU_HALF,
-    order: Sequence[int] | None = None,
-    z_lp: float | None = None,
-) -> tuple[HalfIntegralDecomposition, Graph]:
-    """Kernelize: solve the relaxation (unless its optimum value `z_lp` is
-    given), refine to an extreme optimum, classify, and induce the residual
-    graph on the half-valued vertices."""
-    if z_lp is None:
-        sol = simplex_solve(build_vc_lp(g), tau_lp)
-        if sol.status != "optimal":
-            raise ContractViolation(f"vertex cover relaxation came back {sol.status}")
-        z_lp = sol.objective_value
-    refined = extreme_point_refine(g, z_lp, tau_lp, tau_half, order)
-    decomp = classify_half_integral(refined, tau_half)
-    residual = induced_subgraph(g, decomp.v_half)
-    return decomp, residual
+def nt_decompose(g: Graph, lp: LpSolution | None = None) -> tuple[HalfIntegralDecomposition, Graph]:
+    """Kernelize: refine the relaxation optimum `lp` (solved here when it is
+    omitted) to an extreme optimum, classify, and induce the residual graph
+    on the half-valued vertices."""
+    if lp is None:
+        lp = simplex_solve(build_vc_lp(g))
+        if lp.status != "optimal":
+            raise ContractViolation(f"vertex cover relaxation came back {lp.status}")
+    decomp = classify_half_integral(extreme_point_refine(g, lp))
+    return decomp, induced_subgraph(g, decomp.v_half)
 
 
 def recombine(d: HalfIntegralDecomposition, residual_cover: frozenset[int], original: Graph) -> frozenset[int]:

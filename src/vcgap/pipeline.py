@@ -186,7 +186,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
 
     if lp.objective_value < g.n / 2.0 - TAU_LP:
         t = time.perf_counter()
-        decomp, h = nt_decompose(g, z_lp=lp.objective_value)
+        decomp, h = nt_decompose(g, lp)
         trace.nt_used = True
         trace.v_one = tuple(sorted(decomp.v_one))
         trace.v_zero = tuple(sorted(decomp.v_zero))
@@ -268,7 +268,7 @@ def _cut_copy(
     edge-by-edge when infeasible (possible because cross entries may push an
     edge's two products below one half simultaneously)."""
     dg = a.dg
-    cover = frozenset(map(dg.base_id, threshold_cut(a.emb, copy_ids, cut=0.5)))
+    cover = frozenset(map(dg.base_id, threshold_cut(a.emb, copy_ids)))
     uncovered = verify_cover(h, cover)
     if uncovered:
         products = {dg.base_id(c): a.emb.origin[c] for c in copy_ids}

@@ -85,13 +85,13 @@ def classify_property1(
     )
 
 
-def threshold_cut(emb: VectorEmbedding, vertex_ids: Iterable[int], cut: float = 0.5) -> frozenset[int]:
-    """The ids whose origin product is not strictly below the cut.
+def threshold_cut(emb: VectorEmbedding, vertex_ids: Iterable[int]) -> frozenset[int]:
+    """The ids whose origin product is not strictly below one half.
 
     The result is NOT guaranteed to be a feasible cover; callers must verify
     it against the edge set and repair or fall back when it is not.
     """
-    return frozenset(v for v in vertex_ids if not emb.origin[v] < cut)
+    return frozenset(v for v in vertex_ids if not emb.origin[v] < 0.5)
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ class PerpendicularCompletionReport:
 
 
 def perpendicular_completion_check(
-    quad: Sequence[np.ndarray], v: np.ndarray, tol: float = 1e-4, tau_norm: float = TAU_NORM
+    quad: Sequence[np.ndarray], v: np.ndarray, tol: float = 1e-4
 ) -> PerpendicularCompletionReport:
     """Check that v completes four pairwise-perpendicular unit vectors.
 
@@ -209,7 +209,7 @@ def perpendicular_completion_check(
     if len(dims) != 1 or len(vv.shape) != 1 or vv.shape[0] < 4:
         raise ArgumentError("vectors must share one dimension >= 4")
     for w in vecs + [vv]:
-        if abs(float(w @ w) - 1.0) > max(tau_norm, 2e-6):
+        if abs(float(w @ w) - 1.0) > max(TAU_NORM, 2e-6):
             raise ArgumentError(f"non-unit input vector (|v|^2 = {float(w @ w):.8f})")
     perp = max(abs(float(vecs[i] @ vecs[j])) for i in range(4) for j in range(i + 1, 4))
     prod = max(abs(float(vv @ w) - 0.5) for w in vecs)

@@ -467,13 +467,13 @@ class VectorEmbedding:
     origin: tuple[float, ...]
 
 
-def extract_vectors(gs: GramSolution, tau_factor: float = TAU_FACTOR) -> VectorEmbedding:
+def extract_vectors(gs: GramSolution) -> VectorEmbedding:
     """Factor a converged Gram solution into unit vectors.
 
     Eigendecomposes, clips negative eigenvalues, scales the eigenbasis by the
     square roots, and renormalizes each row to unit length. Raises
     ExtractionError when the renormalized products stray from the Gram
-    entries by more than tau_factor.
+    entries by more than TAU_FACTOR.
     """
     if not gs.converged:
         raise ArgumentError("refusing to factor a nonconverged Gram solution")
@@ -486,8 +486,8 @@ def extract_vectors(gs: GramSolution, tau_factor: float = TAU_FACTOR) -> VectorE
         raise ExtractionError(f"degenerate row norm {norms.min():.3g}; diagonal should be 1")
     vectors = vectors / norms[:, None]
     err = float(np.max(np.abs(vectors @ vectors.T - M)))
-    if not err <= tau_factor:
-        raise ExtractionError(f"reconstruction error {err:.3g} exceeds {tau_factor:g}")
+    if not err <= TAU_FACTOR:
+        raise ExtractionError(f"reconstruction error {err:.3g} exceeds {TAU_FACTOR:g}")
     # a dot product per row: a matrix-vector product can round differently and flip a 0.5 decision
     return VectorEmbedding(vectors, tuple(float(vectors[0] @ vectors[v + 1]) for v in range(d - 1)))
 

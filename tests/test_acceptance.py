@@ -47,15 +47,15 @@ def test_acceptance_1_half_integrality():
     start = time.perf_counter()
     worst = 0.0
     for idx, g in enumerate(corpus_200()):
-        z = simplex_solve(build_vc_lp(g)).objective_value
-        refined = extreme_point_refine(g, z)
-        classify_half_integral(refined, tau_half=1e-4)
+        lp = simplex_solve(build_vc_lp(g))
+        refined = extreme_point_refine(g, lp)
+        classify_half_integral(refined)
         if g.n:
             dist = max(min(abs(v - level) for level in GRID) for v in refined.values)
             worst = max(worst, dist)
         if idx % 10 == 0:
             # independent measurement with snapping disabled
-            raw = extreme_point_refine(g, z, tau_half=0.0)
+            raw = extreme_point_refine(g, lp, tau_half=0.0)
             if g.n:
                 raw_dist = max(min(abs(v - level) for level in GRID) for v in raw.values)
                 assert raw_dist <= 1e-4

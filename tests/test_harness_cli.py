@@ -387,6 +387,7 @@ class TestCliMain:
         out = tmp_path / "g.dimacs"
         assert main(["gen", "--model", "gnp", "--n", "7", "--parameter", "0.5", "--seed", "4", "--out", str(tmp_path)]) == 0
         generated = capsys.readouterr().out.strip()
+        assert Path(generated).stem == harness_cli._instance_id({"model": "gnp", "n": 7, "parameter": 0.5, "seed": 4})
         assert main(["solve", generated]) == 0
         assert "ratio=" in capsys.readouterr().out
         assert main(["exact", generated]) == 0
@@ -549,6 +550,20 @@ class TestCliMain:
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("input error")
+        if config:
+            assert str(blob) in err
+
+    def test_non_ascii_dimacs_comment_is_skipped(self, tmp_path, capsys):
+        text = write_dimacs(complete_graph(3)).encode()
+        runs = []
+        for name, data in (("ascii", text), ("latin1", b"c caf\xe9\n" + text)):
+            (tmp_path / name).mkdir()
+            path = tmp_path / name / "k3.dimacs"
+            path.write_bytes(data)
+            assert main(["solve", str(path), "--out", str(tmp_path / name)]) == 0
+            trace = json.loads((tmp_path / name / "k3.trace.json").read_text())
+            runs.append((capsys.readouterr().out, trace["in_cover"]))
+        assert runs[0] == runs[1]
 
     def test_config_via_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"

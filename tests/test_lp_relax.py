@@ -124,40 +124,56 @@ class TestSimplexSolve:
             assert sol.objective_value == pytest.approx(ref.fun, abs=1e-7)
 
 
+def relaxation(g: Graph) -> LpSolution:
+    return simplex_solve(build_vc_lp(g))
+
+
 class TestExtremePointRefine:
     def test_k2_id_order(self):
-        sol = extreme_point_refine(complete_graph(2), 1.0)
-        assert list(sol.values) == [0.0, 1.0]
+        g = complete_graph(2)
+        assert list(extreme_point_refine(g, relaxation(g)).values) == [0.0, 1.0]
 
     def test_k2_reversed_order(self):
-        sol = extreme_point_refine(complete_graph(2), 1.0, order=(2, 1))
-        assert list(sol.values) == [1.0, 0.0]
+        g = complete_graph(2)
+        assert list(extreme_point_refine(g, relaxation(g), order=(2, 1)).values) == [1.0, 0.0]
 
     def test_star_center_forced(self):
-        sol = extreme_point_refine(star_graph(3), 1.0)
-        assert list(sol.values) == [1.0, 0.0, 0.0, 0.0]
+        g = star_graph(3)
+        assert list(extreme_point_refine(g, relaxation(g)).values) == [1.0, 0.0, 0.0, 0.0]
 
     def test_k3_all_halves(self):
-        sol = extreme_point_refine(complete_graph(3), 1.5)
-        assert list(sol.values) == [0.5, 0.5, 0.5]
+        g = complete_graph(3)
+        assert list(extreme_point_refine(g, relaxation(g)).values) == [0.5, 0.5, 0.5]
 
-    def test_inconsistent_z_star(self):
+    def test_inconsistent_optimum(self):
+        # no witness value is near 0, so the first step LP meets sum = 0.3
+        lp = LpSolution(np.full(3, 0.1), 0.3, "optimal", 0, labels=(1, 2, 3))
         with pytest.raises(ContractViolation):
-            extreme_point_refine(complete_graph(3), 0.3)
+            extreme_point_refine(complete_graph(3), lp)
+
+    @pytest.mark.parametrize(
+        "lp",
+        [LpSolution(None, None, "infeasible", 0), LpSolution(np.full(2, 0.5), 1.0, "optimal", 0)],
+        ids=["nonoptimal", "wrong-length"],
+    )
+    def test_rejects_what_is_not_an_optimum_of_the_graph(self, lp):
+        with pytest.raises(ArgumentError):
+            extreme_point_refine(complete_graph(3), lp)
 
     def test_bad_order_rejected(self):
+        g = complete_graph(3)
         with pytest.raises(ArgumentError):
-            extreme_point_refine(complete_graph(3), 1.5, order=(1, 2))
+            extreme_point_refine(g, relaxation(g), order=(1, 2))
 
     def test_half_integrality_sweep(self):
         rng = np.random.default_rng(19)
         for _ in range(60):
             n = int(rng.integers(1, 15))
             g = random_gnp(n, float(rng.choice([0.15, 0.35, 0.55, 0.75])), seed=int(rng.integers(1 << 30)))
-            z = simplex_solve(build_vc_lp(g)).objective_value
-            sol = extreme_point_refine(g, z)
+            lp = relaxation(g)
+            sol = extreme_point_refine(g, lp)
             assert all(v in (0.0, 0.5, 1.0) for v in sol.values)
-            assert sol.objective_value == pytest.approx(z, abs=1e-7)
+            assert sol.objective_value == pytest.approx(lp.objective_value, abs=1e-7)
 
     def test_order_gives_lexicographic_minimum_of_the_optimal_grid(self):
         # Sequential minimization in `order` must land on the lexicographically
@@ -169,11 +185,11 @@ class TestExtremePointRefine:
             graphs.append(Graph.build([3 * v + 1 for v in g.vertices], [(3 * u + 1, 3 * v + 1) for u, v in g.edges]))
         checked = 0
         for g in graphs:
-            z = simplex_solve(build_vc_lp(g)).objective_value
+            lp = relaxation(g)
             shuffled = tuple(int(v) for v in rng.permutation(g.vertices))
             orders = [g.vertices, tuple(reversed(g.vertices)), shuffled]
             for order in orders:
-                sol = extreme_point_refine(g, z, order=order)
+                sol = extreme_point_refine(g, lp, order=order)
                 assert list(sol.values) == lex_min_optimal_grid_point(g, order), (g, order)
                 checked += 1
         assert checked == 3 * len(graphs)
@@ -187,37 +203,41 @@ class TestExtremePointRefine:
             g = generate_graph(*spec)
             if variant:
                 g = relabeled(g, (variant, k))
-            z = simplex_solve(build_vc_lp(g)).objective_value
-            assert np.array_equal(extreme_point_refine(g, z).values, sequential_lp_refine(g, z)), spec
+            lp = relaxation(g)
+            assert np.array_equal(extreme_point_refine(g, lp).values, sequential_lp_refine(g, lp.objective_value)), spec
 
     def test_equals_sequential_lp_reference_in_three_orders(self):
         rng = np.random.default_rng(61)
         for _ in range(40):
             g = random_gnp(int(rng.integers(1, 15)), float(rng.choice([0.1, 0.2, 0.35, 0.55])), seed=int(rng.integers(1 << 30)))
-            z = simplex_solve(build_vc_lp(g)).objective_value
+            lp = relaxation(g)
             shuffled = tuple(int(v) for v in rng.permutation(g.vertices))
             for order in (g.vertices, tuple(reversed(g.vertices)), shuffled):
-                refined = extreme_point_refine(g, z, order=order).values
-                assert np.array_equal(refined, sequential_lp_refine(g, z, order=order)), (g, order)
+                refined = extreme_point_refine(g, lp, order=order).values
+                assert np.array_equal(refined, sequential_lp_refine(g, lp.objective_value, order=order)), (g, order)
 
     def test_star_union_solves_one_step_lp_per_star_or_one_in_all(self, monkeypatch):
         # 12 four-vertex stars, each center numbered before its leaves
         g = generate_graph("star_union", 48, 4, seed=1)
+        lp = relaxation(g)
+        # the relaxation's unique optimum: every center at 1, every leaf at 0
+        assert list(lp.values) == [1.0, 0.0, 0.0, 0.0] * 12
         calls = []
         monkeypatch.setattr(lp_relax, "simplex_solve", lambda *a: calls.append(a) or simplex_solve(*a))
-        # id order: each center needs its LP, then the witness zeros its leaves
-        extreme_point_refine(g, 12.0)
+        # id order: no center is at 0 in the witness and no leaf is fixed
+        # before it, so each center needs its LP; the witness zeros its leaves
+        extreme_point_refine(g, lp)
         assert len(calls) == 12
-        # reversed: the first LP zeros every leaf, and the zeros force the centers
+        # reversed: the optimum given zeros every leaf, and the zeros force the centers
         calls.clear()
-        extreme_point_refine(g, 12.0, order=tuple(reversed(g.vertices)))
-        assert len(calls) == 1
+        extreme_point_refine(g, lp, order=tuple(reversed(g.vertices)))
+        assert len(calls) == 0
 
     def test_logs_step_lps_witness_zeros_and_forced_ones(self, caplog):
         caplog.set_level(logging.DEBUG, logger="vcgap.lp_relax")
         g = generate_graph("star_union", 48, 4, seed=1)
-        extreme_point_refine(g, 12.0, order=tuple(reversed(g.vertices)))
-        assert caplog.messages == ["refined n=48: 1 step LPs, 35 witness zeros, 12 forced ones"]
+        extreme_point_refine(g, relaxation(g), order=tuple(reversed(g.vertices)))
+        assert caplog.messages == ["refined n=48: 0 step LPs, 36 witness zeros, 12 forced ones"]
 
 
 def lex_min_optimal_grid_point(g: Graph, order) -> list[float]:
@@ -285,9 +305,8 @@ class TestNtDecompose:
         rng = np.random.default_rng(59)
         for _ in range(10):
             g = random_gnp(int(rng.integers(2, 14)), 0.3, seed=int(rng.integers(1 << 30)))
-            z = simplex_solve(build_vc_lp(g)).objective_value
             d, residual = nt_decompose(g)
-            d_given, residual_given = nt_decompose(g, z_lp=z)
+            d_given, residual_given = nt_decompose(g, relaxation(g))
             assert d_given == d
             assert (residual_given.vertices, residual_given.edges) == (residual.vertices, residual.edges)
 

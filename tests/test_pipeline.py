@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from helpers import check_plain_record, complete_graph, cycle_graph, embedding_of, random_gnp, star_graph
+from vcgap import pipeline
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import ExactResult, exact_vc
 from vcgap.graph_core import Graph, duplicate_join, verify_cover, write_dimacs
 from vcgap.harness_cli import CSV_COLUMNS, generate_graph, main
+from vcgap.lp_relax import nt_decompose, simplex_solve
 from vcgap.pipeline import (
     STEP_ARBITRARY_PRIME,
     STEP_BASELINE,
@@ -47,6 +49,13 @@ class TestMahdisRun:
         assert trace.nt_used and trace.step_taken == STEP_EDGELESS
         assert trace.in_cover == (1,)
         assert trace.empirical_ratio == 1.0
+
+    def test_kernel_refines_the_runs_own_relaxation_optimum(self, monkeypatch):
+        solved, handed = [], []
+        monkeypatch.setattr(pipeline, "simplex_solve", lambda p: solved.append(simplex_solve(p)) or solved[-1])
+        monkeypatch.setattr(pipeline, "nt_decompose", lambda g, lp: handed.append(lp) or nt_decompose(g, lp))
+        assert mahdis_run(star_graph(3)).nt_used
+        assert len(solved) == len(handed) == 1 and handed[0] is solved[0]
 
     def test_k3_feasible_with_ratio_at_most_three_halves(self):
         trace = run_with_oracle(complete_graph(3))

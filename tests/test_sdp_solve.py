@@ -218,7 +218,7 @@ class TestExtractVectors:
         bad = np.array([[1.0, 0.9], [0.9, -1.0]])
         gs = GramSolution(bad, 0.0, 0.0, 0.0, -1.0, 1, True)
         with pytest.raises(ExtractionError):
-            extract_vectors(gs, tau_factor=1e-4)
+            extract_vectors(gs)
 
     @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
     def test_non_finite_entry_raises(self, entry):
