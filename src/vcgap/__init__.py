@@ -28,6 +28,7 @@ from .lp_relax import (
     simplex_solve,
 )
 from .sdp_solve import (
+    CertifiedGram,
     GramSolution,
     SdpProblem,
     SolverConfig,
@@ -37,6 +38,7 @@ from .sdp_solve import (
     build_sdp_single,
     check_lemma2_bounds,
     extract_vectors,
+    ipm_solve,
     psd_project,
 )
 from .rounding_geometry import (

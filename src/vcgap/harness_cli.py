@@ -12,6 +12,8 @@ UTF-8 among them), 2 contract violation (a finding worth investigating),
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -47,11 +49,11 @@ from .pipeline import (
 from .rounding_geometry import Thresholds, build_epsilon_subgraph, classify_property1
 from .sdp_solve import (
     ExtractionError,
-    admm_solve,
     build_sdp_single,
     check_lemma2_bounds,
     extract_vectors,
     gram_from_json,
+    ipm_solve,
 )
 
 _MODEL_CODES = {"gnp": 1, "bipartite_gnp": 2, "odd_cycle_rich": 3, "star_union": 4}
@@ -145,7 +147,13 @@ def _instance_graph(spec: dict) -> Graph:
 
 def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n: int = ORACLE_MAX_N) -> dict:
     """Full single-instance experiment: pipeline, oracle, baseline, and the
-    single-graph relaxation of the working graph for the doubled-value bracket."""
+    single-graph relaxation of the working graph for the doubled-value bracket.
+
+    The single relaxation is solved by the interior-point method, whose
+    certified [lower, upper] bracket the row records as
+    `z_sdp_single_bounds`; `z_sdp_single` is its upper end when converged.
+    No decision depends on it; the doubled relaxation in mahdis_run stays on
+    ADMM and `cfg.sdp`."""
     g = _instance_graph(spec)
     trace = mahdis_run(g, cfg)
     oracle = exact_vc(g, cfg.oracle_budget) if g.n <= oracle_max_n else None
@@ -157,12 +165,14 @@ def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n:
         "trace": trace.to_dict(),
         "baseline_size": baseline.cover_size,
         "z_sdp_single": None,
+        "z_sdp_single_bounds": None,
         "lemma2": None,
     }
     if trace.z_sdp_doubled is not None:
         residual = trace.residual
-        single = admm_solve(build_sdp_single(residual), cfg.sdp)
+        single = ipm_solve(build_sdp_single(residual))
         row["z_sdp_single"] = single.objective_value if single.converged else None
+        row["z_sdp_single_bounds"] = list(single.bounds)
         if not single.converged:
             row["trace"]["flags"].append("sdp_single_nonconverged")
         if single.converged and trace.sdp_converged and residual.n <= oracle_max_n:
@@ -250,6 +260,7 @@ def _aggregate(rows: list[dict]) -> dict:
     cert_violations = 0
     theorem6 = 0
     nonconverged = 0
+    single_nonconverged = 0
     lemma2_lower = None
     lemma2_upper = None
     lemma2_violations = 0
@@ -271,6 +282,8 @@ def _aggregate(rows: list[dict]) -> dict:
             theorem6 += 1
         if "sdp_nonconverged" in tr["flags"]:
             nonconverged += 1
+        if "sdp_single_nonconverged" in tr["flags"]:
+            single_nonconverged += 1
         if row.get("lemma2"):
             l2 = row["lemma2"]
             lemma2_lower = l2["lower_margin"] if lemma2_lower is None else min(lemma2_lower, l2["lower_margin"])
@@ -287,6 +300,7 @@ def _aggregate(rows: list[dict]) -> dict:
         "certificate_violations": cert_violations,
         "theorem6_violations": theorem6,
         "sdp_nonconverged": nonconverged,
+        "sdp_single_nonconverged": single_nonconverged,
         "lemma2_min_lower_margin": lemma2_lower,
         "lemma2_min_upper_margin": lemma2_upper,
         "lemma2_violations": lemma2_violations,
@@ -304,7 +318,11 @@ def _csv_cell(value) -> str:
 
 
 def table_to_csv(table: dict) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+    """One header line and one line per row, through the csv module: a cell
+    holding a comma, a double quote or a line feed is quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for row in table["rows"]:
         if "error" in row:
             cells = {c: None for c in CSV_COLUMNS}
@@ -329,8 +347,8 @@ def table_to_csv(table: dict) -> str:
                 "certificate": min(certs) if certs else None,
                 "flags": ";".join(tr["flags"]),
             }
-        lines.append(",".join(_csv_cell(cells[c]) for c in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+        writer.writerow(_csv_cell(cells[c]) for c in CSV_COLUMNS)
+    return out.getvalue()
 
 
 def table_to_plotdata(table: dict) -> dict:

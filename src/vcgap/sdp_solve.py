@@ -1,4 +1,5 @@
-"""Semidefinite relaxations of vertex cover and an operator-splitting solver.
+"""Semidefinite relaxations of vertex cover, an operator-splitting solver
+and an interior-point solver.
 
 The single-graph model has one Gram variable per vertex plus a distinguished
 index 0; every edge contributes the equality X[0,i] + X[0,j] - X[i,j] = 1.
@@ -16,6 +17,11 @@ The factor comes from numpy; each iteration's solve with it is LAPACK's
 Where no mapped OpenBLAS exports it (another BLAS under numpy, or no
 /proc), scipy's `potrs` is loaded instead. Both give the bits that scipy's
 `cho_factor`/`cho_solve` give.
+
+The interior-point solver, `ipm_solve`, works in the relaxation's free
+variables, with the edge equalities built in, and returns a certified
+bracket on the optimum with its Gram. `run_instance` uses it for the single
+relaxation; the doubled relaxation is still solved by ADMM.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -40,6 +46,8 @@ TAU_CMP = 1e-3
 TAU_NORM = 1e-6
 OVER_RELAX = 1.8
 CHECK_EVERY = 25  # iterations between penalty rebalancing and stopping-rule checks
+TAU_GAP = 1e-6  # certified gap at which ipm_solve stops, converged
+IPM_MAX_ITER = 50
 
 log = logging.getLogger(__name__)
 
@@ -212,6 +220,14 @@ class GramSolution:
         doc = {"dim": self.matrix.shape[0], **to_plain(self)}
         doc["matrix"] = [float(x) for x in self.matrix.ravel()]
         return json.dumps(doc)
+
+
+@dataclass
+class CertifiedGram(GramSolution):
+    """A Gram solution with a certified [lower, upper] bracket on the
+    relaxation's optimum; its JSON is the GramSolution's."""
+
+    bounds: tuple[float, float] = field(metadata={"json": False})
 
 
 def gram_from_json(text: str) -> GramSolution:
@@ -453,6 +469,200 @@ def _residuals(M: np.ndarray, p: SdpProblem) -> tuple[float, float]:
         r_eq = 0.0
     r_box = float(max(np.max(p.lo - M, initial=0.0), np.max(M - p.hi, initial=0.0)))
     return r_eq, max(r_box, 0.0)
+
+
+def _reduce(p: SdpProblem) -> tuple[np.ndarray, ...]:
+    """The relaxation in its free variables y: a = X[0, 1:], then X[i, j] on
+    every pair (0 < i < j) that no equality pins.
+
+    Returns (P, Q, T, f0, lo). Pair k is (P[k], Q[k]), in np.triu_indices
+    order; F(y) holds (T @ y + f0)[k] there, so a pinned pair holds
+    a_i + a_j - 1, and lo[k] is its lower box. Raises ArgumentError unless
+    the diagonal is fixed at 1, every upper box is >= 1 and every lower box
+    <= 0, which makes y = (1 - 1/dim, then 1 - 2/dim) strictly feasible.
+    """
+    d = p.dim
+    P, Q = np.nonzero(np.arange(d)[:, None] < np.arange(d))
+    lo, hi = p.lo[P, Q], p.hi[P, Q]
+    if not ((p.lo.diagonal() == 1.0).all() and (p.hi.diagonal() == 1.0).all() and hi.min() >= 1.0 and lo.max() <= 0.0):
+        raise ArgumentError("ipm_solve needs a unit diagonal, upper boxes >= 1 and lower boxes <= 0 off it")
+    i, j = np.minimum(p.con_i, p.con_j), np.maximum(p.con_i, p.con_j)
+    pin = i * (2 * d - i - 1) // 2 + j - i - 1  # the index of pair (i, j)
+    nv = d - 1
+    free = np.ones(len(P), dtype=bool)
+    free[:nv] = False  # pair (0, i) is a_i
+    free[pin] = False
+    free = np.flatnonzero(free)
+    T = np.zeros((len(P), nv + len(free)))
+    T[np.arange(nv), np.arange(nv)] = 1.0
+    T[pin, i - 1] = 1.0
+    T[pin, j - 1] = 1.0
+    T[free, nv + np.arange(len(free))] = 1.0
+    f0 = np.zeros(len(P))
+    f0[pin] = -1.0
+    return P, Q, T, f0, lo
+
+
+def ipm_solve(p: SdpProblem) -> CertifiedGram:
+    """Primal-dual path-following solve of the relaxation in its free
+    variables (`_reduce`): minimize sum(a) subject to F(y) PSD and the LP
+    block, with the HKM direction and Mehrotra's predictor-corrector.
+
+    The dual iterate y starts strictly feasible (every a = 1 - 1/dim, every
+    other pair 2a - 1) and stays so; the primal (X, x) starts at (I, 1) and
+    reaches feasibility along the way. Each step goes gamma of the way to
+    the boundary, gamma = 0.9 + 0.09 * the last step (SDPT3's rule).
+
+    Each iterate certifies a bracket on the optimum: the upper end is sum(a)
+    at y, whose F(y) passed a Cholesky factorization and whose LP slacks are
+    positive; the lower end is the primal objective at (X, x), X having
+    passed its own Cholesky, less |r|_1 for the primal residual r, since
+    every variable of a PSD matrix with unit diagonal lies in [-1, 1]
+    (Jansson, Chaykin & Keil 2007). The solve stops when the bracket is at
+    most TAU_GAP wide (converged), after IPM_MAX_ITER steps, or when a
+    factorization fails; it returns F(y) of the last certified iterate,
+    with the bracket as `bounds`.
+    """
+    d = p.dim
+    if d == 1:
+        return CertifiedGram(np.ones((1, 1)), 0.0, 0.0, 0.0, 1.0, 0, True, (0.0, 0.0))
+    P, Q, T, f0, lo = _reduce(p)
+    npairs, nvar = T.shape
+    nv = d - 1
+    up, dn = P * d + Q, Q * d + P  # flat indices of each pair in a d x d matrix
+    # the LP block: the pairs whose lower box is above -1, which PSD with a
+    # unit diagonal does not imply
+    lp = lo > -1.0
+    lp_up = up[lp]
+    lo = lo[lp]
+    nu = d + len(lo)
+    c = np.zeros(nvar)
+    c[:nv] = 1.0
+    # F(y) = (E @ y + e0).reshape(d, d)
+    E = np.zeros((d * d, nvar))
+    E[up] = E[dn] = T
+    e0 = np.eye(d).ravel()
+    e0[up] = e0[dn] = f0
+    # A(X) + G^T x over z = (2 X on the pairs, x), and the rest of the
+    # primal objective, <F0, X> - trace(X) + (f0 - lo) @ x, as g @ z
+    B = np.hstack([T.T, T[lp].T])
+    g = np.concatenate([f0, f0[lp] - lo])
+    # The HKM Schur matrix is M = T^T K T, where K[k, l] = <e_k X e_l, S^-1>
+    # for the pairs' unit matrices e = E_pq + E_qp, plus the LP block's x/s
+    # on the diagonal of its pairs. For pairs (p, q), (r, s) and W = S^-1,
+    # K is X_qr W_sp + X_qs W_rp + X_pr W_sq + X_ps W_rq, which is A + A^T
+    # for A = X_qr W_ps, plus X_qs W_pr and X_pr W_qs: gathers indexed by
+    # these flat (pair, pair) arrays. T is the a-columns Ta, then one unit
+    # column per free pair, so M is
+    # [[Ta^T K Ta, (K Ta)[free]^T], [(K Ta)[free], K[free, free]]].
+    qp, pq = Q[:, None] * d + P, P[:, None] * d + Q
+    qq, pp = Q[:, None] * d + Q, P[:, None] * d + P
+    lp_diag = np.flatnonzero(lp) * (npairs + 1)
+    Ta = T[:, :nv]
+    free = T[:, nv:].argmax(axis=0)  # the pair of each free variable
+    free_free = free[:, None] * npairs + free[None, :]
+    M = np.empty((nvar, nvar))
+
+    # V = (X, S), v = (x, s) and the direction D = (dX, dS), dv = (dx, ds)
+    # are stacked, so that one call factors or step-tests both sides
+    V = np.empty((2, d, d))
+    D = np.empty((2, d, d))
+    v = np.empty((2, len(lo)))
+    dv = np.empty_like(v)
+    X, S = V
+    x, s = v
+    Vf, Df = V.reshape(2, -1), D.reshape(2, -1)
+
+    def gram(y):
+        """S = F(y) and s = the LP slacks at y."""
+        np.dot(E, y, out=Vf[1])
+        Vf[1] += e0
+        np.subtract(Vf[1].take(lp_up), lo, out=s)
+
+    def direction(dy, sm, C, cx):
+        """HKM direction for the dual step dy: dS = F(dy) - F0, then
+        dX = sym(sm S^-1 - X - (X dS + C) S^-1) and dx = (sm - x ds - cx)/s - x."""
+        np.dot(E, dy, out=Df[1])
+        Df[1].take(lp_up, out=dv[1])
+        Y = X @ D[1] @ W + C
+        D[0] = sm * W - X - (Y + Y.T) / 2.0
+        dv[0] = (sm - x * dv[1] - cx) / s - x
+
+    def steps():
+        """(primal, dual) steps: gamma times the largest t that keeps
+        I + t R D R^T (as R V R^T = I) PSD and v + t dv >= 0, at most 1."""
+        rate = np.minimum(np.linalg.eigvalsh(R @ D @ R.transpose(0, 2, 1))[:, 0], (dv / v).min(axis=1, initial=0.0))
+        return [1.0 if q >= -gamma else -gamma / q for q in rate.tolist()]
+
+    def bracket(X, x, y):
+        z = np.concatenate([2.0 * X.take(up), x])
+        lower = -float(X.trace() + g @ z) - float(np.abs(c - B @ z).sum())
+        return lower, float(y[:nv].sum())
+
+    a0 = 1.0 - 1.0 / d
+    y = np.full(nvar, 2.0 * a0 - 1.0)
+    y[:nv] = a0
+    X[:] = np.eye(d)
+    x[:] = 1.0
+    gram(y)
+    gamma = 0.9
+    it = 0
+    while True:
+        try:
+            R = np.linalg.inv(np.linalg.cholesky(V))  # R X R^T = I and R S R^T = I, side by side
+        except np.linalg.LinAlgError:
+            break
+        if not (v > 0.0).all():
+            break
+        last = (X.copy(), x.copy(), y, it)
+        mu = (float(np.vdot(X, S)) + float(x @ s)) / nu
+        if it == IPM_MAX_ITER:
+            break
+        if nu * mu <= TAU_GAP:  # <X, S> + x @ s is at most the certified gap
+            lower, upper = bracket(X, x, y)
+            if upper - lower <= TAU_GAP:
+                break
+        W = R[1].T @ R[1]
+        A = X.take(qp) * W.take(pq)
+        K = A + A.T
+        K += X.take(qq) * W.take(pp)
+        K += X.take(pp) * W.take(qq)
+        K.ravel()[lp_diag] += x / s
+        KTa = K @ Ta
+        M[:nv, :nv] = Ta.T @ KTa
+        M[nv:, :nv] = KTa[free]
+        M[:nv, nv:] = M[nv:, :nv].T
+        M[nv:, nv:] = K.take(free_free)
+        try:
+            # predictor: no centring
+            dy = np.linalg.solve(M, -c)
+            direction(dy, 0.0, 0.0, 0.0)
+            tp, td = steps()
+            mu_aff = (float(np.vdot(X + tp * D[0], S + td * D[1])) + float((x + tp * dv[0]) @ (s + td * dv[1]))) / nu
+            sm = (mu_aff / mu) ** 3 * mu
+            # corrector: centring to sm and the second-order terms dX dS, dx ds
+            C = D[0] @ D[1] @ W
+            cx = dv[0] * dv[1]
+            dy = np.linalg.solve(M, B @ np.concatenate([2.0 * sm * W.take(up) - C.take(up) - C.take(dn), (sm - cx) / s]) - c)
+            direction(dy, sm, C, cx)
+            tp, td = steps()
+        except np.linalg.LinAlgError:  # a Schur matrix singular to working precision
+            break
+        if not (tp > 0.0 and td > 0.0):  # NaN from a near-singular one, or a stalled step
+            break
+        gamma = 0.9 + 0.09 * min(tp, td)
+        X += tp * D[0]
+        x += tp * dv[0]
+        y = y + td * dy
+        gram(y)
+        it += 1
+    X, x, y, it = last
+    lower, upper = bracket(X, x, y)
+    F = (E @ y + e0).reshape(d, d)
+    converged = upper - lower <= TAU_GAP
+    log.debug("ipm_solve dim %d: %d iterations, gap %.3g, bracket [%.12g, %.12g]", d, it, upper - lower, lower, upper)
+    r_eq, r_box = _residuals(F, p)
+    return CertifiedGram(F, upper, r_eq, r_box, float(np.linalg.eigvalsh(F)[0]), it, converged, (lower, upper))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import json
 from pathlib import Path
 
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import complete_graph
-from vcgap import harness_cli
+from vcgap import harness_cli, sdp_solve
 from vcgap.errors import ArgumentError, ContractViolation, ParseError, SolverError, VcgapError
 from vcgap.graph_core import Bipartition, OddCycle, find_odd_cycle, parse_dimacs, write_dimacs
 from vcgap.harness_cli import (
@@ -22,7 +24,7 @@ from vcgap.harness_cli import (
 )
 from vcgap.lp_relax import HalfIntegralityViolation, build_vc_lp, simplex_solve
 from vcgap.pipeline import STEP_EDGELESS
-from vcgap.sdp_solve import ExtractionError, GramSolution
+from vcgap.sdp_solve import TAU_GAP, ExtractionError, GramSolution
 
 
 class TestGenerateGraph:
@@ -268,6 +270,27 @@ class TestRunBatch:
         csv = table_to_csv(table)
         assert csv == ",".join(CSV_COLUMNS) + "\n"
 
+    def test_csv_quotes_ids_with_commas_and_line_breaks(self, tmp_path):
+        dimacs = tmp_path / "a,b.dimacs"
+        dimacs.write_text(write_dimacs(complete_graph(3)))
+        table = run_batch({"corpus": [{"file": str(dimacs)}, {"file": str(dimacs), "id": "x\ny"}, {"file": str(dimacs), "id": "k3"}]})
+        text = table_to_csv(table)
+        rows = list(csv.reader(io.StringIO(text, newline="")))
+        assert [len(r) for r in rows] == [len(CSV_COLUMNS)] * 4
+        assert [r[0] for r in rows[1:]] == ["a,b", "k3", "x\ny"]
+        # an ordinary id is written as the cells joined by commas, unquoted
+        assert text.splitlines()[2] == ",".join(rows[2])
+
+    def test_single_nonconvergence_is_counted(self, monkeypatch):
+        spec = {"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11}
+        table = run_batch({"corpus": [spec]})
+        assert table["aggregates"]["sdp_single_nonconverged"] == 0
+        monkeypatch.setattr(sdp_solve, "IPM_MAX_ITER", 1)
+        table = run_batch({"corpus": [spec]})
+        row = table["rows"][0]
+        assert "sdp_single_nonconverged" in row["trace"]["flags"] and row["z_sdp_single"] is None
+        assert table["aggregates"]["sdp_single_nonconverged"] == 1
+
 
 class TestReports:
     def make_table(self):
@@ -316,8 +339,14 @@ class TestRunInstance:
         row = run_instance({"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11})
         assert row["trace"]["z_sdp_doubled"] is not None
         assert row["z_sdp_single"] is not None
+        lower, upper = row["z_sdp_single_bounds"]
+        assert lower <= row["z_sdp_single"] == upper and upper - lower <= TAU_GAP
         assert row["lemma2"] is not None
         assert row["lemma2"]["consistent"]
+
+    def test_no_bounds_without_the_doubled_solve(self):
+        row = run_instance({"model": "gnp", "n": 4, "parameter": 0.0, "seed": 1})
+        assert row["z_sdp_single"] is None and row["z_sdp_single_bounds"] is None
 
     @pytest.mark.parametrize("spec,sizes", [
         ({"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11}, [8]),  # no kernel: the residual is g
@@ -429,12 +458,12 @@ class TestCliMain:
         generated = capsys.readouterr().out.strip()
         solves = []
 
-        def counted(module):
-            solve = module.admm_solve
-            monkeypatch.setattr(module, "admm_solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+        def counted(module, name):
+            solve = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, **k: solves.append(1) or solve(*a, **k))
 
-        counted(vcgap.pipeline)
-        counted(harness_cli)
+        counted(vcgap.pipeline, "admm_solve")
+        counted(harness_cli, "ipm_solve")
         gram_path = tmp_path / "gram.json"
         assert main(["solve", generated, "--dump-gram", str(gram_path), "--no-exact", "--out", str(tmp_path)]) == 0
         capsys.readouterr()

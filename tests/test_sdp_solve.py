@@ -1,4 +1,5 @@
 import json
+import logging
 from dataclasses import fields
 
 import numpy as np
@@ -6,8 +7,12 @@ import pytest
 
 from helpers import brute_force_min_cover, check_plain_record, complete_graph, cycle_graph, random_gnp
 from vcgap.errors import ArgumentError
+from vcgap import sdp_solve
 from vcgap.graph_core import Graph, duplicate_join, to_plain
+from vcgap.harness_cli import generate_graph
 from vcgap.sdp_solve import (
+    TAU_CMP,
+    TAU_GAP,
     ExtractionError,
     GramSolution,
     SolverConfig,
@@ -17,6 +22,7 @@ from vcgap.sdp_solve import (
     check_lemma2_bounds,
     extract_vectors,
     gram_from_json,
+    ipm_solve,
     psd_project,
 )
 
@@ -156,6 +162,91 @@ class TestAdmmSolve:
         assert np.array_equal(back.matrix, gs.matrix)
         assert back.objective_value == gs.objective_value
         assert back.converged == gs.converged
+
+
+# the acceptance-8 batch corpus, one graph per generator seed
+ACCEPTANCE_8 = (
+    [("gnp", 10, 0.3, 7 + k) for k in range(4)]
+    + [("bipartite_gnp", 10, 0.4, 11 + k) for k in range(2)]
+    + [("odd_cycle_rich", 9, 0.1, 13 + k) for k in range(2)]
+    + [("star_union", 8, 4, 17 + k) for k in range(2)]
+)
+IPM_SINGLE = {"c5": cycle_graph(5), "k3": complete_graph(3), "k4": complete_graph(4)}
+IPM_SINGLE.update({"-".join(map(str, spec)): generate_graph(*spec) for spec in ACCEPTANCE_8})
+
+
+def assert_certified(gs, optimum=None):
+    """F(y) is the Gram of a dual-feasible point: unit diagonal, the edge
+    equalities, a Cholesky factor, and sum(a) as the bracket's upper end."""
+    lower, upper = gs.bounds
+    assert lower <= upper and gs.objective_value == upper == float(gs.matrix[0, 1:].sum())
+    np.linalg.cholesky(gs.matrix)
+    assert np.array_equal(gs.matrix.diagonal(), np.ones(len(gs.matrix)))
+    assert gs.max_equality_violation <= 1e-12 and gs.max_box_violation <= 1e-12
+    if optimum is not None:
+        assert lower <= optimum <= upper
+
+
+class TestIpmSolve:
+    @pytest.mark.parametrize("g", list(IPM_SINGLE.values()), ids=list(IPM_SINGLE))
+    def test_single_agrees_with_admm(self, g):
+        p = build_sdp_single(g)
+        ipm, admm = ipm_solve(p), admm_solve(p)
+        assert ipm.converged and admm.converged
+        assert_certified(ipm)
+        lower, upper = ipm.bounds
+        assert upper - lower <= TAU_GAP
+        assert abs(ipm.objective_value - admm.objective_value) <= TAU_CMP
+        # ADMM's point is feasible only to tau_feas, so its value may stray below the bracket by that much
+        assert lower - TAU_CMP <= admm.objective_value <= upper + TAU_CMP
+
+    @pytest.mark.parametrize("g,optimum", [
+        (complete_graph(2), 1.0),
+        (complete_graph(3), 1.5),
+        (cycle_graph(5), 2.5),
+        (Graph.build(range(3), []), 0.0),
+    ], ids=["k2", "k3", "c5", "edgeless3"])
+    def test_bracket_holds_the_known_optimum(self, g, optimum):
+        gs = ipm_solve(build_sdp_single(g))
+        assert gs.converged
+        assert_certified(gs, optimum)
+
+    def test_out_of_iterations_is_nonconverged_and_still_certified(self, monkeypatch):
+        monkeypatch.setattr(sdp_solve, "IPM_MAX_ITER", 2)
+        gs = ipm_solve(build_sdp_single(cycle_graph(5)))
+        assert not gs.converged and gs.iterations == 2
+        assert gs.bounds[1] - gs.bounds[0] > TAU_GAP
+        assert_certified(gs, 2.5)
+
+    @pytest.mark.parametrize("g", [complete_graph(3), cycle_graph(5), random_gnp(6, 0.5, seed=2)], ids=["k3", "c5", "gnp6"])
+    def test_doubled_agrees_with_admm(self, g):
+        p = build_sdp_doubled(duplicate_join(g))
+        ipm, admm = ipm_solve(p), admm_solve(p)
+        assert ipm.converged and admm.converged
+        assert_certified(ipm)
+        assert abs(ipm.objective_value - admm.objective_value) <= TAU_CMP
+
+    def test_dim_one(self):
+        gs = ipm_solve(build_sdp_single(Graph.build([], [])))
+        assert gs.converged and gs.objective_value == 0.0 and gs.bounds == (0.0, 0.0)
+
+    def test_json_is_the_gram_solutions(self):
+        gs = ipm_solve(build_sdp_single(complete_graph(3)))
+        assert list(json.loads(gs.to_json())) == ["dim"] + [f.name for f in fields(GramSolution)]
+        assert np.array_equal(gram_from_json(gs.to_json()).matrix, gs.matrix)
+
+    def test_rejects_boxes_it_does_not_model(self):
+        p = build_sdp_single(complete_graph(3))
+        p.hi[1, 2] = p.hi[2, 1] = 0.5
+        with pytest.raises(ArgumentError):
+            ipm_solve(p)
+
+    def test_one_debug_line_per_solve(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="vcgap.sdp_solve"):
+            gs = ipm_solve(build_sdp_single(cycle_graph(5)))
+        lines = [r.getMessage() for r in caplog.records if r.name == "vcgap.sdp_solve"]
+        assert len(lines) == 1
+        assert f"{gs.iterations} iterations" in lines[0] and "bracket" in lines[0]
 
 
 class TestEigensolvers:
