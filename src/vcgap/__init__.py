@@ -36,7 +36,6 @@ from .sdp_solve import (
     admm_solve,
     build_sdp_doubled,
     build_sdp_single,
-    check_lemma2_bounds,
     extract_vectors,
     ipm_solve,
     psd_project,

@@ -50,7 +50,6 @@ from .rounding_geometry import Thresholds, build_epsilon_subgraph, classify_prop
 from .sdp_solve import (
     ExtractionError,
     build_sdp_single,
-    check_lemma2_bounds,
     extract_vectors,
     gram_from_json,
     ipm_solve,
@@ -146,14 +145,13 @@ def _instance_graph(spec: dict) -> Graph:
 
 
 def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n: int = ORACLE_MAX_N) -> dict:
-    """Full single-instance experiment: pipeline, oracle, baseline, and the
-    single-graph relaxation of the working graph for the doubled-value bracket.
+    """Full single-instance experiment: pipeline, oracle on the instance graph,
+    baseline, and the single relaxation of the working graph, the rung between
+    z_lp and z_doubled / 2 on the value ladder (README, "The relaxations").
 
-    The single relaxation is solved by the interior-point method, whose
-    certified [lower, upper] bracket the row records as
-    `z_sdp_single_bounds`; `z_sdp_single` is its upper end when converged.
-    No decision depends on it; the doubled relaxation in mahdis_run stays on
-    ADMM and `cfg.sdp`."""
+    The interior-point method solves it; the row records its certified
+    [lower, upper] bracket as `z_sdp_single_bounds` and, when converged, the
+    upper end as `z_sdp_single`. No decision depends on it."""
     g = _instance_graph(spec)
     trace = mahdis_run(g, cfg)
     oracle = exact_vc(g, cfg.oracle_budget) if g.n <= oracle_max_n else None
@@ -166,22 +164,13 @@ def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n:
         "baseline_size": baseline.cover_size,
         "z_sdp_single": None,
         "z_sdp_single_bounds": None,
-        "lemma2": None,
     }
     if trace.z_sdp_doubled is not None:
-        residual = trace.residual
-        single = ipm_solve(build_sdp_single(residual))
+        single = ipm_solve(build_sdp_single(trace.residual))
         row["z_sdp_single"] = single.objective_value if single.converged else None
         row["z_sdp_single_bounds"] = list(single.bounds)
         if not single.converged:
             row["trace"]["flags"].append("sdp_single_nonconverged")
-        if single.converged and trace.sdp_converged and residual.n <= oracle_max_n:
-            # without a kernel the residual is g itself, whose optimum is known
-            res_oracle = oracle if residual is g else exact_vc(residual, cfg.oracle_budget)
-            if res_oracle.status == STATUS_OPTIMAL:
-                row["lemma2"] = to_plain(
-                    check_lemma2_bounds(single.objective_value, trace.z_sdp_doubled, res_oracle.size, cfg.tau_cmp)
-                )
     return row
 
 
@@ -250,7 +239,7 @@ def run_batch(batch_doc: dict, jobs: int | None = None) -> dict:
     else:
         rows = [_worker(a) for a in args]
     rows.sort(key=lambda r: r["instance_id"])
-    return {"schema_version": "1", "rows": rows, "aggregates": _aggregate(rows)}
+    return {"schema_version": "2", "rows": rows, "aggregates": _aggregate(rows)}
 
 
 def _aggregate(rows: list[dict]) -> dict:
@@ -261,9 +250,6 @@ def _aggregate(rows: list[dict]) -> dict:
     theorem6 = 0
     nonconverged = 0
     single_nonconverged = 0
-    lemma2_lower = None
-    lemma2_upper = None
-    lemma2_violations = 0
     failures = []
     for row in rows:
         if "error" in row:
@@ -284,12 +270,6 @@ def _aggregate(rows: list[dict]) -> dict:
             nonconverged += 1
         if "sdp_single_nonconverged" in tr["flags"]:
             single_nonconverged += 1
-        if row.get("lemma2"):
-            l2 = row["lemma2"]
-            lemma2_lower = l2["lower_margin"] if lemma2_lower is None else min(lemma2_lower, l2["lower_margin"])
-            lemma2_upper = l2["upper_margin"] if lemma2_upper is None else min(lemma2_upper, l2["upper_margin"])
-            if not l2["consistent"]:
-                lemma2_violations += 1
     return {
         "instances": len(rows),
         "failures": failures,
@@ -301,9 +281,6 @@ def _aggregate(rows: list[dict]) -> dict:
         "theorem6_violations": theorem6,
         "sdp_nonconverged": nonconverged,
         "sdp_single_nonconverged": single_nonconverged,
-        "lemma2_min_lower_margin": lemma2_lower,
-        "lemma2_min_upper_margin": lemma2_upper,
-        "lemma2_violations": lemma2_violations,
     }
 
 
@@ -317,12 +294,17 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _csv_line(cells) -> str:
+    # the writer quotes a cell holding a character of its line terminator, so CR LF quotes CR and LF
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(cells)
+    return out.getvalue()[:-2] + "\n"
+
+
 def table_to_csv(table: dict) -> str:
     """One header line and one line per row, through the csv module: a cell
-    holding a comma, a double quote or a line feed is quoted."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    holding a comma, a double quote, a line feed or a carriage return is quoted."""
+    lines = [_csv_line(CSV_COLUMNS)]
     for row in table["rows"]:
         if "error" in row:
             cells = {c: None for c in CSV_COLUMNS}
@@ -347,8 +329,8 @@ def table_to_csv(table: dict) -> str:
                 "certificate": min(certs) if certs else None,
                 "flags": ";".join(tr["flags"]),
             }
-        writer.writerow(_csv_cell(cells[c]) for c in CSV_COLUMNS)
-    return out.getvalue()
+        lines.append(_csv_line(_csv_cell(cells[c]) for c in CSV_COLUMNS))
+    return "".join(lines)
 
 
 def table_to_plotdata(table: dict) -> dict:

@@ -43,7 +43,7 @@ from .rounding_geometry import (
     theorem4_lower_bound,
     threshold_cut,
 )
-from .sdp_solve import TAU_CMP, GramSolution, SolverConfig, VectorEmbedding, admm_solve, build_sdp_doubled, extract_vectors
+from .sdp_solve import GramSolution, SolverConfig, VectorEmbedding, admm_solve, build_sdp_doubled, extract_vectors
 
 SCHEMA_VERSION = "1"
 TAU_RATIO = 1e-9
@@ -62,14 +62,13 @@ STEP_BASELINE = "baseline_matching"
 @dataclass(frozen=True)
 class PipelineConfig:
     tau_ratio: float = TAU_RATIO
-    tau_cmp: float = TAU_CMP
     thresholds: Thresholds = PAPER_THRESHOLDS
     sdp: SolverConfig = SolverConfig()
     probe_tol: float = PROBE_TOL
     oracle_budget: int = NODE_BUDGET
 
     def __post_init__(self):
-        for name in ("tau_ratio", "tau_cmp", "probe_tol"):
+        for name in ("tau_ratio", "probe_tol"):
             check_real(name, getattr(self, name), 0.0)
         check_int("oracle_budget", self.oracle_budget)
 

@@ -42,7 +42,6 @@ from .graph_core import DoubledGraph, Graph, to_plain
 
 TAU_FEAS = 1e-5
 TAU_FACTOR = 1e-4
-TAU_CMP = 1e-3
 TAU_NORM = 1e-6
 OVER_RELAX = 1.8
 CHECK_EVERY = 25  # iterations between penalty rebalancing and stopping-rule checks
@@ -701,22 +700,3 @@ def extract_vectors(gs: GramSolution) -> VectorEmbedding:
     # a dot product per row: a matrix-vector product can round differently and flip a 0.5 decision
     return VectorEmbedding(vectors, tuple(float(vectors[0] @ vectors[v + 1]) for v in range(d - 1)))
 
-
-@dataclass(frozen=True)
-class Lemma2Verdict:
-    """Margins of the doubled-graph objective against its theoretical bracket."""
-
-    z_single: float
-    z_doubled: float
-    z_exact: float
-    lower_margin: float  # z_doubled - 2*z_single, should be >= -tau
-    upper_margin: float  # 2*z_exact - z_doubled, should be >= -tau
-    consistent: bool
-
-
-def check_lemma2_bounds(z4: float, z6: float, z_exact: float, tau_cmp: float = TAU_CMP) -> Lemma2Verdict:
-    """Check z6 >= 2*z4 and z6 <= 2*z_exact within tau_cmp; violations are
-    reported in the verdict, never raised."""
-    lower = z6 - 2.0 * z4
-    upper = 2.0 * z_exact - z6
-    return Lemma2Verdict(z4, z6, z_exact, lower, upper, lower >= -tau_cmp and upper >= -tau_cmp)

@@ -43,6 +43,13 @@ def petersen_graph() -> Graph:
     return Graph.build(range(10), outer + spokes + inner)
 
 
+def kneser_graph(m: int, k: int) -> Graph:
+    """K(m, k): the k-subsets of range(m), in lexicographic order, joined when disjoint."""
+    subsets = [set(c) for c in itertools.combinations(range(m), k)]
+    pairs = itertools.combinations(range(len(subsets)), 2)
+    return Graph.build(range(len(subsets)), [(i, j) for i, j in pairs if not subsets[i] & subsets[j]])
+
+
 def random_gnp(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]

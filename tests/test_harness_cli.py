@@ -265,6 +265,15 @@ class TestRunBatch:
         table = run_batch({"corpus": [{"file": "/nonexistent/never.dimacs", "id": "gone"}]})
         assert table["aggregates"]["failures"][0]["instance_id"] == "gone"
 
+    def test_schema_version_and_keys(self):
+        table = run_batch({"corpus": [EDGELESS_PAIR]})
+        assert table["schema_version"] == "2"
+        assert set(table["rows"][0]) == {"instance_id", "trace", "baseline_size", "z_sdp_single", "z_sdp_single_bounds"}
+        assert set(table["aggregates"]) == {
+            "instances", "failures", "max_ratio", "mean_ratio", "step_histogram", "property1_holds_count",
+            "certificate_violations", "theorem6_violations", "sdp_nonconverged", "sdp_single_nonconverged",
+        }
+
     def test_empty_corpus_gives_header_only_csv(self):
         table = run_batch({"corpus": []})
         csv = table_to_csv(table)
@@ -273,13 +282,15 @@ class TestRunBatch:
     def test_csv_quotes_ids_with_commas_and_line_breaks(self, tmp_path):
         dimacs = tmp_path / "a,b.dimacs"
         dimacs.write_text(write_dimacs(complete_graph(3)))
-        table = run_batch({"corpus": [{"file": str(dimacs)}, {"file": str(dimacs), "id": "x\ny"}, {"file": str(dimacs), "id": "k3"}]})
+        ids = ["x\ny", "k3", "a\rb", "c\r\nd"]
+        table = run_batch({"corpus": [{"file": str(dimacs)}] + [{"file": str(dimacs), "id": i} for i in ids]})
         text = table_to_csv(table)
         rows = list(csv.reader(io.StringIO(text, newline="")))
-        assert [len(r) for r in rows] == [len(CSV_COLUMNS)] * 4
-        assert [r[0] for r in rows[1:]] == ["a,b", "k3", "x\ny"]
+        assert [len(r) for r in rows] == [len(CSV_COLUMNS)] * 6
+        assert [r[0] for r in rows[1:]] == sorted(["a,b"] + ids)
         # an ordinary id is written as the cells joined by commas, unquoted
-        assert text.splitlines()[2] == ",".join(rows[2])
+        k3 = next(r for r in rows if r[0] == "k3")
+        assert "\n" + ",".join(k3) + "\n" in text
 
     def test_single_nonconvergence_is_counted(self, monkeypatch):
         spec = {"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11}
@@ -335,30 +346,28 @@ class TestReports:
 
 
 class TestRunInstance:
-    def test_lemma2_attached_when_sdp_ran(self):
+    def test_single_bracket_attached_when_sdp_ran(self):
         row = run_instance({"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11})
         assert row["trace"]["z_sdp_doubled"] is not None
         assert row["z_sdp_single"] is not None
         lower, upper = row["z_sdp_single_bounds"]
         assert lower <= row["z_sdp_single"] == upper and upper - lower <= TAU_GAP
-        assert row["lemma2"] is not None
-        assert row["lemma2"]["consistent"]
 
     def test_no_bounds_without_the_doubled_solve(self):
         row = run_instance({"model": "gnp", "n": 4, "parameter": 0.0, "seed": 1})
         assert row["z_sdp_single"] is None and row["z_sdp_single_bounds"] is None
 
-    @pytest.mark.parametrize("spec,sizes", [
-        ({"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11}, [8]),  # no kernel: the residual is g
-        ({"model": "gnp", "n": 9, "parameter": 0.25, "seed": 3}, [9, 8]),  # the kernel removed a vertex
+    @pytest.mark.parametrize("spec", [
+        {"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11},  # no kernel: the residual is g
+        {"model": "gnp", "n": 9, "parameter": 0.25, "seed": 3},  # the kernel removed a vertex
     ])
-    def test_one_oracle_call_per_graph(self, spec, sizes, monkeypatch):
+    def test_one_oracle_call_per_run(self, spec, monkeypatch):
         exact = harness_cli.exact_vc
         calls = []
         monkeypatch.setattr(harness_cli, "exact_vc", lambda g, *args: calls.append(g.n) or exact(g, *args))
         row = run_instance(spec)
-        assert row["lemma2"] is not None
-        assert calls == sizes
+        assert row["trace"]["z_sdp_doubled"] is not None
+        assert calls == [spec["n"]]
 
     def test_oracle_skipped_above_limit(self):
         row = run_instance({"model": "gnp", "n": 8, "parameter": 0.3, "seed": 1}, oracle_max_n=4)

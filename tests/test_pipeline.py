@@ -239,14 +239,14 @@ def _leaves(doc: dict, prefix: str = "") -> dict:
 
 NON_DEFAULT_CONFIG = PipelineConfig(
     tau_ratio=1e-8,
-    tau_cmp=1e-2,
     thresholds=Thresholds(below_half_fraction=0.001, above_band_fraction=0.02, epsilon=0.001),
     sdp=SolverConfig(tau_feas=1e-4, tau_obj=1e-5, max_iter=100),
     probe_tol=0.01,
     oracle_budget=10,
 )
 
-# Keys earlier schemas accepted: solver internals and the probe's anchor edge.
+# Keys earlier schemas accepted: solver internals, the probe's anchor edge and
+# the tolerance of the retired doubled-value bracket check.
 REMOVED_KEYS = {
     "tau_lp": {"tau_lp": 1e-7},
     "tau_half": {"tau_half": 1e-4},
@@ -255,6 +255,7 @@ REMOVED_KEYS = {
     "sdp.adapt_rho": {"sdp": {"adapt_rho": True}},
     "sdp.check_every": {"sdp": {"check_every": 25}},
     "anchor_edge": {"anchor_edge": [0, 1]},
+    "tau_cmp": {"tau_cmp": 1e-3},
 }
 
 BAD_CONFIGS = {
@@ -264,7 +265,7 @@ BAD_CONFIGS = {
     "band_top": ({"thresholds": {"band_top": 0.5004}}, "thresholds.band_top"),
     "tau_psd": ({"sdp": {"tau_psd": 1e-7}}, "sdp.tau_psd"),
     "nan": ({"sdp": {"tau_feas": math.nan}}, "tau_feas"),
-    "inf": ({"tau_cmp": math.inf}, "tau_cmp"),
+    "inf": ({"probe_tol": math.inf}, "probe_tol"),
     "wrong-type": ({"sdp": {"max_iter": "100"}}, "max_iter"),
     "bool-for-int": ({"oracle_budget": True}, "oracle_budget"),
     "max_iter-0": ({"sdp": {"max_iter": 0}}, "max_iter"),
@@ -285,7 +286,7 @@ class TestPipelineConfig:
     def test_non_default_config_sets_every_value(self):
         default = _leaves(PipelineConfig().to_dict())
         changed = _leaves(NON_DEFAULT_CONFIG.to_dict())
-        assert len(default) == 10
+        assert len(default) == 9
         assert [k for k in default if default[k] == changed[k]] == []
 
     @pytest.mark.parametrize("cfg", [PipelineConfig(), NON_DEFAULT_CONFIG], ids=["default", "non-default"])

@@ -1,17 +1,18 @@
 import json
 import logging
+import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from helpers import brute_force_min_cover, check_plain_record, complete_graph, cycle_graph, random_gnp
+from helpers import brute_force_min_cover, complete_graph, cycle_graph, kneser_graph, petersen_graph, random_gnp
 from vcgap.errors import ArgumentError
 from vcgap import sdp_solve
-from vcgap.graph_core import Graph, duplicate_join, to_plain
+from vcgap.exact_oracle import exact_vc
+from vcgap.graph_core import Graph, duplicate_join
 from vcgap.harness_cli import generate_graph
 from vcgap.sdp_solve import (
-    TAU_CMP,
     TAU_GAP,
     ExtractionError,
     GramSolution,
@@ -19,7 +20,6 @@ from vcgap.sdp_solve import (
     admm_solve,
     build_sdp_doubled,
     build_sdp_single,
-    check_lemma2_bounds,
     extract_vectors,
     gram_from_json,
     ipm_solve,
@@ -27,6 +27,7 @@ from vcgap.sdp_solve import (
 )
 
 FAST = SolverConfig()
+ADMM_TOL = 1e-3  # how far ADMM's value may lie from the optimum under the default stopping rule
 
 
 class TestBuildSingle:
@@ -196,9 +197,9 @@ class TestIpmSolve:
         assert_certified(ipm)
         lower, upper = ipm.bounds
         assert upper - lower <= TAU_GAP
-        assert abs(ipm.objective_value - admm.objective_value) <= TAU_CMP
+        assert abs(ipm.objective_value - admm.objective_value) <= ADMM_TOL
         # ADMM's point is feasible only to tau_feas, so its value may stray below the bracket by that much
-        assert lower - TAU_CMP <= admm.objective_value <= upper + TAU_CMP
+        assert lower - ADMM_TOL <= admm.objective_value <= upper + ADMM_TOL
 
     @pytest.mark.parametrize("g,optimum", [
         (complete_graph(2), 1.0),
@@ -224,7 +225,7 @@ class TestIpmSolve:
         ipm, admm = ipm_solve(p), admm_solve(p)
         assert ipm.converged and admm.converged
         assert_certified(ipm)
-        assert abs(ipm.objective_value - admm.objective_value) <= TAU_CMP
+        assert abs(ipm.objective_value - admm.objective_value) <= ADMM_TOL
 
     def test_dim_one(self):
         gs = ipm_solve(build_sdp_single(Graph.build([], [])))
@@ -320,31 +321,63 @@ class TestExtractVectors:
             extract_vectors(GramSolution(bad, 0.0, 0.0, 0.0, 0.0, 1, True))
 
 
-class TestLemma2:
-    def test_k2_tight_bracket(self):
-        g = complete_graph(2)
-        z4 = admm_solve(build_sdp_single(g), FAST).objective_value
-        z6 = admm_solve(build_sdp_doubled(duplicate_join(g)), FAST).objective_value
-        assert z4 == pytest.approx(1.0, abs=1e-3)
-        assert z6 == pytest.approx(2.0, abs=1e-3)
-        verdict = check_lemma2_bounds(z4, z6, z_exact=1)
-        assert verdict.consistent
+def lift_cover(g: Graph, cover: frozenset) -> np.ndarray:
+    """The doubled Gram of a cover: x0 = 1 on the cover and -1 off it, the
+    rank-one Y = x x^T with x = (1, x0), then a = (1 + x0) / 2 in both
+    copies, (1 + Y_ij) / 2 inside a copy and a_i + a_j - 1 across them."""
+    x = np.array([1.0] + [1.0 if v in cover else -1.0 for v in g.vertices])
+    y = np.outer(x, x)
+    a = (1.0 + y[0, 1:]) / 2.0
+    same = (1.0 + y[1:, 1:]) / 2.0
+    cross = a[:, None] + a[None, :] - 1.0
+    lifted = np.empty((2 * g.n + 1, 2 * g.n + 1))
+    lifted[0, 0] = 1.0
+    lifted[0, 1:] = lifted[1:, 0] = np.concatenate([a, a])
+    lifted[1:, 1:] = np.block([[same, cross], [cross, same]])
+    return lifted
 
-    def test_k3_bracket(self):
-        g = complete_graph(3)
-        z4 = admm_solve(build_sdp_single(g), FAST).objective_value
-        z6 = admm_solve(build_sdp_doubled(duplicate_join(g)), FAST).objective_value
-        assert 3.0 - 1e-3 <= z6 <= 4.0 + 1e-3
-        assert check_lemma2_bounds(z4, z6, z_exact=2).consistent
 
-    def test_edgeless_trivially_consistent(self):
-        assert check_lemma2_bounds(0.0, 0.0, 0).consistent
+def theta_cycle(n: int) -> float:
+    """Lovasz theta of the odd cycle C_n (Lovasz 1979)."""
+    return n * math.cos(math.pi / n) / (1.0 + math.cos(math.pi / n))
 
-    def test_violation_is_reported_not_raised(self):
-        verdict = check_lemma2_bounds(z4=2.0, z6=3.0, z_exact=2)
-        assert not verdict.consistent
-        assert verdict.lower_margin == pytest.approx(-1.0)
 
-    def test_json_form_is_the_fields(self):
-        verdict = check_lemma2_bounds(z4=1.0, z6=2.0, z_exact=1)
-        check_plain_record(verdict, to_plain(verdict))
+# z_doubled / 2 = n - theta(G); for Kneser graphs K(m, k), theta = C(m-1, k-1)
+CLOSED_FORMS = {
+    "c5": (cycle_graph(5), 5 - theta_cycle(5)),
+    "c7": (cycle_graph(7), 7 - theta_cycle(7)),
+    "c9": (cycle_graph(9), 9 - theta_cycle(9)),
+    "petersen": (petersen_graph(), 10 - math.comb(4, 1)),
+    "k62": (kneser_graph(6, 2), 15 - math.comb(5, 1)),
+    "k72": (kneser_graph(7, 2), 21 - math.comb(6, 1)),
+}
+LIFT_GRAPHS = {name: g for name, (g, _) in CLOSED_FORMS.items()}
+LIFT_GRAPHS.update({f"gnp{n}-s{seed}": random_gnp(n, 0.4, seed) for n, seed in [(6, 1), (9, 2), (12, 3)]})
+
+
+class TestDoubledBracket:
+    """2 * z_single <= z_doubled <= 2 * opt holds by theorem: each copy's
+    block is feasible for the single relaxation, and every cover lifts to a
+    feasible doubled point of value 2 |C|."""
+
+    @pytest.mark.parametrize("g", list(LIFT_GRAPHS.values()), ids=list(LIFT_GRAPHS))
+    def test_optimal_cover_lifts_to_a_feasible_point(self, g):
+        cover = exact_vc(g).cover
+        lifted = lift_cover(g, cover)
+        assert sdp_solve._residuals(lifted, build_sdp_doubled(duplicate_join(g))) == (0.0, 0.0)
+        assert np.linalg.eigvalsh(lifted)[0] >= -1e-12
+        assert lifted[0, 1:].sum() == 2 * len(cover)
+
+    @pytest.mark.parametrize("g,half_value", list(CLOSED_FORMS.values()), ids=list(CLOSED_FORMS))
+    def test_doubled_value_is_n_minus_theta(self, g, half_value):
+        gs = admm_solve(build_sdp_doubled(duplicate_join(g)), FAST)
+        assert gs.converged
+        assert abs(gs.objective_value / 2.0 - half_value) <= ADMM_TOL
+
+    @pytest.mark.parametrize("n,p,seed", [(6, 0.5, 1), (8, 0.4, 2), (10, 0.3, 3), (12, 0.5, 4)])
+    def test_doubled_value_is_at_least_twice_the_single(self, n, p, seed):
+        g = random_gnp(n, p, seed)
+        lower, _ = ipm_solve(build_sdp_single(g)).bounds
+        doubled = admm_solve(build_sdp_doubled(duplicate_join(g)), FAST)
+        assert doubled.converged
+        assert doubled.objective_value >= 2.0 * lower - ADMM_TOL
