@@ -9,6 +9,7 @@ from .graph_core import (
     DoubledGraph,
     Graph,
     OddCycle,
+    bipartite_double_cover,
     duplicate_join,
     find_odd_cycle,
     induced_subgraph,
@@ -22,6 +23,7 @@ from .lp_relax import (
     LpSolution,
     build_vc_lp,
     classify_half_integral,
+    cover_relaxation,
     extreme_point_refine,
     nt_decompose,
     recombine,

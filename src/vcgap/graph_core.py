@@ -1,11 +1,11 @@
 """Immutable undirected graphs: DIMACS parsing, induced subgraphs, the
-doubled-graph construction, odd-cycle detection, cover verification, and
-`to_plain`, the JSON form of every trace record. A cover is the frozenset of
-the vertex ids in it.
+doubled-graph construction, the bipartite double cover, odd-cycle detection,
+cover verification, and `to_plain`, the JSON form of every trace record. A
+cover is the frozenset of the vertex ids in it.
 
 Vertex ids are stable integers that survive induced subgraphs; the doubled
-graph numbers its vertices by position, so combined vertices i and n+i are
-the two copies of the i-th base vertex.
+graph and the double cover number their vertices by position, so vertices i
+and n+i are the two copies of the i-th base vertex.
 """
 
 from __future__ import annotations
@@ -204,6 +204,20 @@ class Bipartition:
 
     left: frozenset[int]
     right: frozenset[int]
+
+
+def bipartite_double_cover(g: Graph) -> tuple[Graph, Bipartition]:
+    """The bipartite double cover B(g) = g x K2 and its two sides.
+
+    Vertex ids are positional, as in the doubled graph: i and n+i are the
+    left and right copies of the i-th base vertex, and each edge uv of g
+    gives the two edges u_L v_R and v_L u_R, so B(g) has 2n vertices and 2m
+    edges.
+    """
+    n = g.n
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    edges = [e for u, v in g.edges for e in ((pos[u], n + pos[v]), (pos[v], n + pos[u]))]
+    return Graph.build(range(2 * n), edges), Bipartition(frozenset(range(n)), frozenset(range(n, 2 * n)))
 
 
 @dataclass(frozen=True)

@@ -309,7 +309,7 @@ def table_to_csv(table: dict) -> str:
         if "error" in row:
             cells = {c: None for c in CSV_COLUMNS}
             cells["instance_id"] = row["instance_id"]
-            cells["flags"] = "error:" + row["error"].replace(",", ";")
+            cells["flags"] = "error:" + row["error"]
         else:
             tr = row["trace"]
             pp, pd = tr["property_prime"], tr["property_double_prime"]

@@ -1,9 +1,13 @@
 """LP relaxation of minimum vertex cover and its half-integral structure.
 
-Contains a self-contained dense-tableau two-phase simplex (anti-cycling via
-a Bland's-rule guard), the sequential lexicographic refinement that pins down
-one extreme optimum, classification of extreme optima into {0, 1/2, 1}
-levels, and the kernel decomposition/recombination built on top of them.
+The relaxation's optimum comes from one maximum matching: by Nemhauser and
+Trotter (1975) it is half a minimum vertex cover C of the bipartite double
+cover B(G), and x_v = |{v_L, v_R} & C| / 2 is an optimum on {0, 1/2, 1}
+(`cover_relaxation`). A self-contained dense-tableau two-phase simplex
+(anti-cycling via a Bland's-rule guard) solves the step LPs of the
+sequential lexicographic refinement that pins down one extreme optimum from
+there. Also here: classification of extreme optima into {0, 1/2, 1} levels,
+and the kernel decomposition/recombination built on top of them.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .bipartite_vc import konig_cover, max_matching
 from .errors import ArgumentError, ContractViolation, SolverError, VcgapError
-from .graph_core import Graph, induced_subgraph, verify_cover
+from .graph_core import Graph, bipartite_double_cover, induced_subgraph, verify_cover
 
 log = logging.getLogger(__name__)
 
@@ -81,6 +86,22 @@ def build_vc_lp(g: Graph) -> LpProblem:
         coeffs[pos[v]] = 1.0
         rows.append((coeffs, ">=", 1.0))
     return LpProblem(np.ones(g.n), rows, [(0.0, 1.0)] * g.n, labels=g.vertices)
+
+
+def cover_relaxation(g: Graph) -> LpSolution:
+    """An optimum of g's cover relaxation from a minimum cover C of the
+    bipartite double cover: x_v = |{v_L, v_R} & C| / 2, of value |C| / 2.
+
+    Feasible, because C covers both edges u_L v_R and v_L u_R of each edge
+    uv; optimal, because any feasible x doubled onto both copies is a
+    fractional cover of B(g), worth at least its matching number |C| (Konig).
+    Every value is an exact multiple of 1/2; `iterations` is 0.
+    """
+    b, parts = bipartite_double_cover(g)
+    cover = konig_cover(b, parts, max_matching(b, parts))
+    n = g.n
+    values = np.array([((i in cover) + (n + i in cover)) / 2.0 for i in range(n)])
+    return LpSolution(values, len(cover) / 2.0, "optimal", 0, labels=g.vertices)
 
 
 def simplex_solve(p: LpProblem) -> LpSolution:
@@ -300,13 +321,15 @@ def extreme_point_refine(
 ) -> LpSolution:
     """Pin down one extreme optimum of the relaxation by sequential minimization.
 
-    `lp` is an optimum of g's relaxation, as simplex_solve returns it. For
-    each vertex in `order` (vertex id order by default), minimize its
-    variable over the optimal face (edge rows plus the sum pinned to lp's
-    value, earlier variables fixed at their minimized values by bound
-    tightening). Every minimized value lands on the {0, 1/2, 1} grid for
-    vertex cover relaxations; values within tau_half of a grid level are
-    snapped so the face equality stays exactly consistent across iterations.
+    `lp` is an optimum of g's relaxation, as cover_relaxation or
+    simplex_solve returns it. For each vertex in `order` (vertex id order by
+    default), minimize its variable over the optimal face (edge rows plus
+    the sum pinned to lp's value, earlier variables fixed at their minimized
+    values by bound tightening). Every minimized value lands on the
+    {0, 1/2, 1} grid for vertex cover relaxations; values within tau_half of
+    a grid level are snapped so the face equality stays exactly consistent
+    across iterations. The result is the lexicographic minimum of the
+    optimal grid points in `order`, whichever optimum `lp` is.
 
     The witness is a point of the face that satisfies every fixing made so
     far: first `lp` itself, then the last step LP's optimum. Each vertex is
@@ -417,13 +440,11 @@ def classify_half_integral(s: LpSolution) -> HalfIntegralDecomposition:
 
 
 def nt_decompose(g: Graph, lp: LpSolution | None = None) -> tuple[HalfIntegralDecomposition, Graph]:
-    """Kernelize: refine the relaxation optimum `lp` (solved here when it is
-    omitted) to an extreme optimum, classify, and induce the residual graph
-    on the half-valued vertices."""
+    """Kernelize: refine the relaxation optimum `lp` (`cover_relaxation(g)`
+    when it is omitted) to an extreme optimum, classify, and induce the
+    residual graph on the half-valued vertices."""
     if lp is None:
-        lp = simplex_solve(build_vc_lp(g))
-        if lp.status != "optimal":
-            raise ContractViolation(f"vertex cover relaxation came back {lp.status}")
+        lp = cover_relaxation(g)
     decomp = classify_half_integral(extreme_point_refine(g, lp))
     return decomp, induced_subgraph(g, decomp.v_half)
 

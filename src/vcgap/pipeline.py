@@ -5,6 +5,7 @@ with every decision, certificate, repair, and fallback recorded in a trace.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
@@ -21,12 +22,11 @@ from .graph_core import (
     verify_cover,
 )
 from .lp_relax import (
-    TAU_LP,
     HalfIntegralDecomposition,
-    build_vc_lp,
+    cover_relaxation,
     nt_decompose,
     recombine,
-    simplex_solve,
+    simplex_solve,  # not called here: perfbench's LAYER_OF and STAGE_OF still name it
 )
 from .rounding_geometry import (
     PAPER_THRESHOLDS,
@@ -44,6 +44,8 @@ from .rounding_geometry import (
     threshold_cut,
 )
 from .sdp_solve import GramSolution, SolverConfig, VectorEmbedding, admm_solve, build_sdp_doubled, extract_vectors
+
+log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = "1"
 TAU_RATIO = 1e-9
@@ -177,13 +179,12 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
     t0 = time.perf_counter()
     trace = RunTrace(SCHEMA_VERSION, g, g.n, g.m, step_taken="")
 
-    lp = simplex_solve(build_vc_lp(g))
-    if lp.status != "optimal":
-        raise ContractViolation(f"cover relaxation came back {lp.status}")
+    lp = cover_relaxation(g)
     trace.z_lp = lp.objective_value
     trace.timings["lp"] = time.perf_counter() - t0
 
-    if lp.objective_value < g.n / 2.0 - TAU_LP:
+    # z_lp is an exact multiple of 1/2, so the gate needs no slack
+    if lp.objective_value < g.n / 2.0:
         t = time.perf_counter()
         decomp, h = nt_decompose(g, lp)
         trace.nt_used = True
@@ -195,6 +196,10 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
     trace.residual = h
     trace.residual_n = h.n
     trace.residual_m = h.m
+    log.debug(
+        "kernel gate: z_lp=%s, n/2=%s, %s; residual n=%d m=%d",
+        lp.objective_value, g.n / 2.0, "fired" if trace.nt_used else "not fired", h.n, h.m,
+    )
 
     if h.m == 0:
         trace.step_taken = STEP_EDGELESS

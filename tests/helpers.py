@@ -130,6 +130,18 @@ def sequential_lp_refine(g: Graph, z_star: float, tau_half: float = TAU_HALF, or
     return values
 
 
+def highs_lp_value(g: Graph) -> float:
+    """The cover relaxation's optimum by scipy's HiGHS, sharing no code with
+    the package's simplex or matching."""
+    if g.m == 0:
+        return 0.0
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    a_ub = np.zeros((g.m, g.n))
+    for row, (u, v) in enumerate(g.edges):
+        a_ub[row, [pos[u], pos[v]]] = -1.0
+    return float(linprog(np.ones(g.n), A_ub=a_ub, b_ub=-np.ones(g.m), bounds=[(0, 1)] * g.n, method="highs").fun)
+
+
 def brute_force_min_cover(g: Graph) -> int:
     """Smallest feasible cover size by subset enumeration."""
     return exact_vc_enumerate(g, limit_n=g.n).size

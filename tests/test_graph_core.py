@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from helpers import brute_force_is_bipartite, complete_graph, cycle_graph, random_gnp
+from vcgap import generate_graph
 from vcgap.errors import ArgumentError, ContractViolation, ParseError
 from vcgap.graph_core import (
     Bipartition,
     Graph,
     OddCycle,
     _check_odd_cycle,
+    bipartite_double_cover,
     duplicate_join,
     find_odd_cycle,
     graph_from_json,
@@ -113,6 +115,47 @@ class TestInducedSubgraph:
             lhs = induced_subgraph(induced_subgraph(g, a), a & b)
             rhs = induced_subgraph(g, a & b)
             assert lhs.vertices == rhs.vertices and lhs.edges == rhs.edges
+
+
+class TestBipartiteDoubleCover:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_sizes_and_sides(self, seed):
+        g = random_gnp(seed % 9 + 1, 0.1 + 0.07 * seed, seed=2_000 + seed)
+        b, parts = bipartite_double_cover(g)
+        assert (b.n, b.m) == (2 * g.n, 2 * g.m)
+        assert parts == Bipartition(frozenset(range(g.n)), frozenset(range(g.n, 2 * g.n)))
+        assert all((u in parts.left) != (v in parts.left) for u, v in b.edges)
+
+    def test_edges_of_one_edge(self):
+        b, _ = bipartite_double_cover(Graph.build([5, 9], [(5, 9)]))
+        assert b.vertices == (0, 1, 2, 3) and b.edges == ((0, 3), (1, 2))
+
+    def test_odd_cycle_doubles_to_an_even_cycle(self):
+        b, _ = bipartite_double_cover(cycle_graph(5))
+        assert isinstance(find_odd_cycle(b), Bipartition)
+        assert all(len(b.adjacency[v]) == 2 for v in b.vertices)
+        # one cycle of length ten, not two five-cycles: walk it from vertex 0
+        walk = [0, b.adjacency[0][0]]
+        while walk[-1] != 0:
+            walk.append(next(w for w in b.adjacency[walk[-1]] if w != walk[-2]))
+        assert len(walk) == 11
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bipartite_graph_doubles_to_two_copies(self, seed):
+        g = generate_graph("bipartite_gnp", 10, 0.4, seed=3_000 + seed)
+        coloring = find_odd_cycle(g)
+        b, _ = bipartite_double_cover(g)
+        pos = {v: i for i, v in enumerate(g.vertices)}
+        # copy 0 takes the left class on the left side and the right class on
+        # the right side; copy 1 the other way round
+        copies = [
+            {v: pos[v] if v in coloring.left else g.n + pos[v] for v in g.vertices},
+            {v: g.n + pos[v] if v in coloring.left else pos[v] for v in g.vertices},
+        ]
+        mapped = [{tuple(sorted((c[u], c[v]))) for u, v in g.edges} for c in copies]
+        assert mapped[0] | mapped[1] == set(b.edges) and not mapped[0] & mapped[1]
+        for c in copies:
+            assert induced_subgraph(b, c.values()).m == g.m
 
 
 class TestDuplicateJoin:

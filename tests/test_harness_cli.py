@@ -292,6 +292,13 @@ class TestRunBatch:
         k3 = next(r for r in rows if r[0] == "k3")
         assert "\n" + ",".join(k3) + "\n" in text
 
+    def test_csv_keeps_error_text_verbatim(self):
+        error = 'ParseError: line 3: malformed edge line "e 1,2"'
+        table = {"rows": [{"instance_id": "bad", "error": error}]}
+        rows = list(csv.reader(io.StringIO(table_to_csv(table), newline="")))
+        assert rows[1][0] == "bad" and rows[1][-1] == "error:" + error
+        assert [len(r) for r in rows] == [len(CSV_COLUMNS)] * 2
+
     def test_single_nonconvergence_is_counted(self, monkeypatch):
         spec = {"model": "gnp", "n": 8, "parameter": 0.6, "seed": 11}
         table = run_batch({"corpus": [spec]})

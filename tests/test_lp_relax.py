@@ -3,13 +3,14 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
 
 from helpers import (
     brute_force_min_cover,
     complete_graph,
     cycle_graph,
     half_integral_grid_optimum,
+    highs_lp_value,
+    petersen_graph,
     random_gnp,
     relabeled,
     sequential_lp_refine,
@@ -26,6 +27,7 @@ from vcgap.lp_relax import (
     LpSolution,
     build_vc_lp,
     classify_half_integral,
+    cover_relaxation,
     extreme_point_refine,
     nt_decompose,
     recombine,
@@ -116,16 +118,66 @@ class TestSimplexSolve:
             if g.m == 0:
                 assert sol.objective_value == 0.0
                 continue
-            a_ub = np.zeros((g.m, g.n))
-            pos = {v: i for i, v in enumerate(g.vertices)}
-            for r, (u, v) in enumerate(g.edges):
-                a_ub[r, pos[u]] = a_ub[r, pos[v]] = -1.0
-            ref = linprog(np.ones(g.n), A_ub=a_ub, b_ub=-np.ones(g.m), bounds=[(0, 1)] * g.n, method="highs")
-            assert sol.objective_value == pytest.approx(ref.fun, abs=1e-7)
+            assert sol.objective_value == pytest.approx(highs_lp_value(g), abs=1e-7)
 
 
 def relaxation(g: Graph) -> LpSolution:
     return simplex_solve(build_vc_lp(g))
+
+
+# The two optima a refinement can start from; its result must not depend on which.
+WITNESSES = pytest.mark.parametrize("witness", [relaxation, cover_relaxation], ids=["simplex", "matching"])
+
+
+def disjoint_k3_and_star() -> Graph:
+    # K3 on 1..3 plus a 4-leaf star on 4..7
+    return Graph.build(range(1, 8), [(1, 2), (2, 3), (1, 3), (4, 5), (4, 6), (4, 7)])
+
+
+class TestCoverRelaxation:
+    @pytest.mark.parametrize(
+        "g,expected",
+        [
+            (Graph.build([], []), []),
+            (Graph.build(range(4), []), [0.0] * 4),
+            (complete_graph(2), None),
+            (complete_graph(3), [0.5] * 3),
+            (star_graph(2), [1.0, 0.0, 0.0]),
+            (star_graph(5), [1.0] + [0.0] * 5),
+            (petersen_graph(), [0.5] * 10),
+            (disjoint_k3_and_star(), [0.5] * 3 + [1.0, 0.0, 0.0, 0.0]),
+        ],
+        ids=["empty", "edgeless", "k2", "k3", "star2", "star5", "petersen", "k3+star"],
+    )
+    def test_small_graphs(self, g, expected):
+        # expected is the relaxation's unique optimum where it has one
+        sol = cover_relaxation(g)
+        assert sol.status == "optimal" and sol.iterations == 0 and sol.labels == g.vertices
+        assert sol.objective_value == half_integral_grid_optimum(g) == sum(sol.values)
+        if expected is not None:
+            assert list(sol.values) == expected
+
+    def test_feasible_on_the_half_integral_grid(self):
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            g = random_gnp(int(rng.integers(1, 40)), float(rng.choice([0.05, 0.1, 0.3, 0.6])), seed=int(rng.integers(1 << 30)))
+            sol = cover_relaxation(g)
+            pos = {v: i for i, v in enumerate(g.vertices)}
+            assert set(sol.values) <= {0.0, 0.5, 1.0}
+            assert all(sol.values[pos[u]] + sol.values[pos[v]] >= 1.0 for u, v in g.edges)
+            assert sol.objective_value == float(sol.values.sum())
+
+    def test_equals_highs_value(self):
+        rng = np.random.default_rng(71)
+        for _ in range(40):
+            g = random_gnp(int(rng.integers(1, 61)), float(rng.choice([0.02, 0.05, 0.15, 0.4])), seed=int(rng.integers(1 << 30)))
+            assert cover_relaxation(g).objective_value == pytest.approx(highs_lp_value(g), abs=1e-7), g
+
+    def test_equals_grid_optimum(self):
+        rng = np.random.default_rng(73)
+        for _ in range(40):
+            g = random_gnp(int(rng.integers(1, 9)), float(rng.choice([0.2, 0.4, 0.6, 0.8])), seed=int(rng.integers(1 << 30)))
+            assert cover_relaxation(g).objective_value == half_integral_grid_optimum(g), g
 
 
 class TestExtremePointRefine:
@@ -175,7 +227,8 @@ class TestExtremePointRefine:
             assert all(v in (0.0, 0.5, 1.0) for v in sol.values)
             assert sol.objective_value == pytest.approx(lp.objective_value, abs=1e-7)
 
-    def test_order_gives_lexicographic_minimum_of_the_optimal_grid(self):
+    @WITNESSES
+    def test_order_gives_lexicographic_minimum_of_the_optimal_grid(self, witness):
         # Sequential minimization in `order` must land on the lexicographically
         # smallest (in that order) optimal {0, 1/2, 1} assignment.
         rng = np.random.default_rng(29)
@@ -185,7 +238,7 @@ class TestExtremePointRefine:
             graphs.append(Graph.build([3 * v + 1 for v in g.vertices], [(3 * u + 1, 3 * v + 1) for u, v in g.edges]))
         checked = 0
         for g in graphs:
-            lp = relaxation(g)
+            lp = witness(g)
             shuffled = tuple(int(v) for v in rng.permutation(g.vertices))
             orders = [g.vertices, tuple(reversed(g.vertices)), shuffled]
             for order in orders:
@@ -194,8 +247,9 @@ class TestExtremePointRefine:
                 checked += 1
         assert checked == 3 * len(graphs)
 
+    @WITNESSES
     @pytest.mark.parametrize("variant", [0, 1, 2])
-    def test_equals_sequential_lp_reference_on_sparse_graphs(self, variant):
+    def test_equals_sequential_lp_reference_on_sparse_graphs(self, variant, witness):
         # the sparse_kernel pool's shapes: gnp n=48 p=0.02 and star unions n=48-60
         specs = [("gnp", 48, 0.02, 50_000 + k) for k in range(3)]
         specs += [("star_union", 48 + 6 * k, 3 + k, 51_000 + k) for k in range(3)]
@@ -203,14 +257,15 @@ class TestExtremePointRefine:
             g = generate_graph(*spec)
             if variant:
                 g = relabeled(g, (variant, k))
-            lp = relaxation(g)
+            lp = witness(g)
             assert np.array_equal(extreme_point_refine(g, lp).values, sequential_lp_refine(g, lp.objective_value)), spec
 
-    def test_equals_sequential_lp_reference_in_three_orders(self):
+    @WITNESSES
+    def test_equals_sequential_lp_reference_in_three_orders(self, witness):
         rng = np.random.default_rng(61)
         for _ in range(40):
             g = random_gnp(int(rng.integers(1, 15)), float(rng.choice([0.1, 0.2, 0.35, 0.55])), seed=int(rng.integers(1 << 30)))
-            lp = relaxation(g)
+            lp = witness(g)
             shuffled = tuple(int(v) for v in rng.permutation(g.vertices))
             for order in (g.vertices, tuple(reversed(g.vertices)), shuffled):
                 refined = extreme_point_refine(g, lp, order=order).values
@@ -301,12 +356,13 @@ class TestNtDecompose:
             d, residual = nt_decompose(g)
             assert exact_vc(g).size == len(d.v_one) + exact_vc(residual).size
 
-    def test_given_relaxation_value_gives_same_kernel(self):
+    @WITNESSES
+    def test_given_relaxation_value_gives_same_kernel(self, witness):
         rng = np.random.default_rng(59)
         for _ in range(10):
             g = random_gnp(int(rng.integers(2, 14)), 0.3, seed=int(rng.integers(1 << 30)))
             d, residual = nt_decompose(g)
-            d_given, residual_given = nt_decompose(g, relaxation(g))
+            d_given, residual_given = nt_decompose(g, witness(g))
             assert d_given == d
             assert (residual_given.vertices, residual_given.edges) == (residual.vertices, residual.edges)
 
@@ -339,8 +395,8 @@ class TestRecombine:
         assert recombine(d, frozenset({1, 2}), g) == {1, 2}
 
     def test_disjoint_union_k3_star(self):
-        # K3 on 1..3 plus a 4-leaf star on 4..7: oracle optimum is 3.
-        g = Graph.build(range(1, 8), [(1, 2), (2, 3), (1, 3), (4, 5), (4, 6), (4, 7)])
+        # oracle optimum is 3
+        g = disjoint_k3_and_star()
         d, residual = nt_decompose(g)
         assert d.v_one == {4} and set(residual.vertices) == {1, 2, 3}
         res_cover = exact_vc(residual).cover

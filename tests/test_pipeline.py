@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import re
 from pathlib import Path
@@ -12,7 +13,7 @@ from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import ExactResult, exact_vc
 from vcgap.graph_core import Graph, duplicate_join, verify_cover, write_dimacs
 from vcgap.harness_cli import CSV_COLUMNS, generate_graph, main
-from vcgap.lp_relax import nt_decompose, simplex_solve
+from vcgap.lp_relax import cover_relaxation, nt_decompose
 from vcgap.pipeline import (
     STEP_ARBITRARY_PRIME,
     STEP_BASELINE,
@@ -52,7 +53,7 @@ class TestMahdisRun:
 
     def test_kernel_refines_the_runs_own_relaxation_optimum(self, monkeypatch):
         solved, handed = [], []
-        monkeypatch.setattr(pipeline, "simplex_solve", lambda p: solved.append(simplex_solve(p)) or solved[-1])
+        monkeypatch.setattr(pipeline, "cover_relaxation", lambda g: solved.append(cover_relaxation(g)) or solved[-1])
         monkeypatch.setattr(pipeline, "nt_decompose", lambda g, lp: handed.append(lp) or nt_decompose(g, lp))
         assert mahdis_run(star_graph(3)).nt_used
         assert len(solved) == len(handed) == 1 and handed[0] is solved[0]
@@ -85,6 +86,15 @@ class TestMahdisRun:
         # stars push the relaxation below n/2; the complete graph sits at n/2
         assert mahdis_run(star_graph(4)).nt_used
         assert not mahdis_run(complete_graph(4)).nt_used
+
+    def test_logs_the_kernel_gate(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="vcgap.pipeline")
+        mahdis_run(star_graph(4))
+        mahdis_run(complete_graph(3))
+        assert [r.getMessage() for r in caplog.records if r.name == "vcgap.pipeline"] == [
+            "kernel gate: z_lp=1.0, n/2=2.5, fired; residual n=0 m=0",
+            "kernel gate: z_lp=1.5, n/2=1.5, not fired; residual n=3 m=3",
+        ]
 
     def test_deterministic_traces(self):
         g = random_gnp(10, 0.4, seed=303)
