@@ -33,7 +33,6 @@ from .sdp_solve import (
     CertifiedGram,
     GramSolution,
     SdpProblem,
-    SolverConfig,
     VectorEmbedding,
     admm_solve,
     build_sdp_doubled,

@@ -155,7 +155,7 @@ def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n:
     g = _instance_graph(spec)
     trace = mahdis_run(g, cfg)
     oracle = exact_vc(g, cfg.oracle_budget) if g.n <= oracle_max_n else None
-    trace = evaluate_ratio(trace, oracle, cfg.tau_ratio)
+    trace = evaluate_ratio(trace, oracle)
     baseline = two_approx_baseline(g)
 
     row: dict = {
@@ -508,7 +508,7 @@ def _dispatch(args) -> int:
     cfg = PipelineConfig.from_dict(cfg_doc)
     if args.command == "probe":
         doc = _read_json(args.path, "probe document")
-        check_keys("probe document", doc, ("graph", "gram"), ("doubled", "thresholds"))
+        check_keys("probe document", doc, ("graph", "gram"), ("doubled",))
         base = graph_from_json(json.dumps(doc["graph"]))
         gram = gram_from_json(json.dumps(doc["gram"]))
         doubled = doc.get("doubled", False)
@@ -517,11 +517,7 @@ def _dispatch(args) -> int:
         dim = 2 * base.n + 1 if doubled else base.n + 1
         if gram.matrix.shape[0] != dim:
             raise ArgumentError(f"gram.dim {gram.matrix.shape[0]} does not match the graph: expected {dim}")
-        if "thresholds" in doc:
-            thresholds = config_from_dict(Thresholds, doc["thresholds"], "thresholds.")
-        else:
-            thresholds = cfg.thresholds
-        report = _probe_report(base, gram, doubled, thresholds, cfg)
+        report = _probe_report(base, gram, doubled, cfg.thresholds)
         text = json.dumps(report, indent=2, sort_keys=True)
         if args.out:
             out = Path(args.out)
@@ -546,7 +542,7 @@ def _dispatch(args) -> int:
     # solve
     trace = mahdis_run(g, cfg)
     oracle = None if args.no_exact else exact_vc(g, cfg.oracle_budget)
-    trace = evaluate_ratio(trace, oracle, cfg.tau_ratio)
+    trace = evaluate_ratio(trace, oracle)
     _print_summary(instance_id, trace)
     if args.dump_gram and trace.gram is not None:
         doc = {
@@ -564,14 +560,14 @@ def _dispatch(args) -> int:
     return 0
 
 
-def _probe_report(base: Graph, gram, doubled: bool, th: Thresholds, cfg: PipelineConfig) -> dict:
+def _probe_report(base: Graph, gram, doubled: bool, th: Thresholds) -> dict:
     if not doubled:
         emb = extract_vectors(gram)
         report = classify_property1(emb, base.vertices, th)
         eps = build_epsilon_subgraph(emb, base, th)
         return {"property": report.to_dict(), "epsilon_subgraph": eps.to_dict()}
     a = analyze_doubled(duplicate_join(base), gram, th)
-    eps, eps_other, probe = a.band_probe(th, cfg.probe_tol)
+    eps, eps_other, probe = a.band_probe(th)
     return {
         "property_prime": a.rep_p.to_dict(),
         "property_double_prime": a.rep_d.to_dict(),

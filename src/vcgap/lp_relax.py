@@ -117,11 +117,10 @@ def simplex_solve(p: LpProblem) -> LpSolution:
     hi = np.array([b[1] for b in p.bounds], dtype=float)
     fixed = lo == hi
     free = np.flatnonzero(~fixed)
-    x_base = np.where(fixed, lo, lo)  # fixed value or lower bound shift
 
     rows_std: list[tuple[np.ndarray, str, float]] = []
     for coeffs, rel, rhs in p.rows:
-        shifted_rhs = rhs - float(coeffs @ x_base)
+        shifted_rhs = rhs - float(coeffs @ lo)  # lo: each fixed value or lower-bound shift
         fc = coeffs[free]
         if not fc.any():
             ok = (
@@ -141,14 +140,14 @@ def simplex_solve(p: LpProblem) -> LpSolution:
             rows_std.append((coeffs, "<=", ub))
 
     if len(free) == 0:
-        values = x_base.copy()
+        values = lo.copy()
         return LpSolution(values, float(p.objective @ values), "optimal", 0, p.labels)
 
     status, y, iters = _two_phase(rows_std, p.objective[free].astype(float))
     if status != "optimal":
         return LpSolution(None, None, status, iters, p.labels)
 
-    values = x_base.copy()
+    values = lo.copy()
     values[free] += y
     np.clip(values, lo, hi, out=values)
     _validate(p, values, iters)

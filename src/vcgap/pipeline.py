@@ -10,7 +10,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 from .bipartite_vc import konig_cover, max_matching, maximal_matching_cover
-from .errors import ArgumentError, ContractViolation, check_int, check_real
+from .errors import ArgumentError, ContractViolation, check_int
 from .exact_oracle import NODE_BUDGET, STATUS_OPTIMAL, ExactResult
 from .graph_core import (
     Bipartition,
@@ -30,7 +30,6 @@ from .lp_relax import (
 )
 from .rounding_geometry import (
     PAPER_THRESHOLDS,
-    PROBE_TOL,
     EpsilonSubgraph,
     OddCycleProbe,
     PropertyReport,
@@ -43,7 +42,7 @@ from .rounding_geometry import (
     theorem4_lower_bound,
     threshold_cut,
 )
-from .sdp_solve import GramSolution, SolverConfig, VectorEmbedding, admm_solve, build_sdp_doubled, extract_vectors
+from .sdp_solve import GramSolution, VectorEmbedding, admm_solve, build_sdp_doubled, extract_vectors
 
 log = logging.getLogger(__name__)
 
@@ -63,15 +62,10 @@ STEP_BASELINE = "baseline_matching"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    tau_ratio: float = TAU_RATIO
     thresholds: Thresholds = PAPER_THRESHOLDS
-    sdp: SolverConfig = SolverConfig()
-    probe_tol: float = PROBE_TOL
     oracle_budget: int = NODE_BUDGET
 
     def __post_init__(self):
-        for name in ("tau_ratio", "probe_tol"):
-            check_real(name, getattr(self, name), 0.0)
         check_int("oracle_budget", self.oracle_budget)
 
     def to_dict(self) -> dict:
@@ -207,7 +201,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
 
     t = time.perf_counter()
     dg = duplicate_join(h)
-    gram = admm_solve(build_sdp_doubled(dg), cfg.sdp)
+    gram = admm_solve(build_sdp_doubled(dg))
     trace.gram = gram
     trace.z_sdp_doubled = gram.objective_value
     trace.sdp_converged = gram.converged
@@ -217,6 +211,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
     if not gram.converged:
         trace.step_taken = STEP_SDP_FALLBACK
         trace.flags.append("sdp_nonconverged")
+        log.debug("rounding branch: %s; ADMM not converged after %d iterations", STEP_SDP_FALLBACK, gram.iterations)
         return _finish(trace, g, decomp, maximal_matching_cover(h), t0)
 
     t = time.perf_counter()
@@ -229,12 +224,17 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
     elif not a.rep_d.holds_1a:
         cover_h = _cut_copy(trace, STEP_CUT_DOUBLE_PRIME, a, a.dg.copy_ids(1), h)
     elif not a.rep_p.holds_1b:
-        cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_PRIME, a.rep_p, h, cfg)
+        cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_PRIME, a.rep_p, h, cfg.thresholds)
     elif not a.rep_d.holds_1b:
-        cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_DOUBLE_PRIME, a.rep_d, h, cfg)
+        cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_DOUBLE_PRIME, a.rep_d, h, cfg.thresholds)
     else:
-        cover_h = _bipartite_step(trace, a, h, cfg)
+        cover_h = _bipartite_step(trace, a, h, cfg.thresholds)
     trace.timings["rounding"] = time.perf_counter() - t
+    log.debug(
+        "rounding branch: %s; copy 1 below_half=%d above_band=%d, copy 2 below_half=%d above_band=%d",
+        trace.step_taken, a.rep_p.count_below_half, a.rep_p.count_above_band,
+        a.rep_d.count_below_half, a.rep_d.count_above_band,
+    )
     return _finish(trace, g, decomp, cover_h, t0)
 
 
@@ -248,14 +248,14 @@ class DoubledAnalysis:
     rep_p: PropertyReport
     rep_d: PropertyReport
 
-    def band_probe(self, th: Thresholds, probe_tol: float) -> tuple[EpsilonSubgraph, EpsilonSubgraph, OddCycleProbe]:
+    def band_probe(self, th: Thresholds) -> tuple[EpsilonSubgraph, EpsilonSubgraph, OddCycleProbe]:
         """Both copies' band subgraphs and the odd-cycle probe on the first
         copy's, anchored on the second copy's first band edge in edge order
         (none when that band subgraph has no edge)."""
         eps = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dg.copy_ids(0)), th)
         eps_other = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dg.copy_ids(1)), th)
         anchor = eps_other.graph.edges[0] if eps_other.graph.edges else None
-        return eps, eps_other, odd_cycle_probe(self.emb, eps, anchor, probe_tol)
+        return eps, eps_other, odd_cycle_probe(self.emb, eps, anchor)
 
 
 def analyze_doubled(dg: DoubledGraph, gram: GramSolution, th: Thresholds) -> DoubledAnalysis:
@@ -285,8 +285,7 @@ def _cut_copy(
         trace.repairs.append({"step": step, "added": sorted(added)})
         trace.flags.append("cut_repaired")
     trace.step_taken = step
-    z = trace.z_lp if not trace.nt_used else h.n / 2.0
-    _certify_theorem3(trace, cover, h, f"relaxation value {z} >= n/2 certifies the optimum assumption")
+    _certify_theorem3(trace, cover, h, f"relaxation value {h.n / 2.0} >= n/2 certifies the optimum assumption")
     return cover
 
 
@@ -298,12 +297,9 @@ def _certify_theorem3(trace: RunTrace, cover: frozenset[int], h: Graph, *assumpt
         trace.certificates.append(to_plain(replace(cert, assumptions=cert.assumptions + assumptions)))
 
 
-def _arbitrary_with_bound(
-    trace: RunTrace, step: str, report, h: Graph, cfg: PipelineConfig
-) -> frozenset[int]:
+def _arbitrary_with_bound(trace: RunTrace, step: str, report, h: Graph, th: Thresholds) -> frozenset[int]:
     """Many products above the band: the optimum is pushed strictly above n/2,
     so any feasible cover earns a sub-2 bound; output the matching cover."""
-    th = cfg.thresholds
     trace.step_taken = step
     delta = th.above_band_fraction * th.epsilon - th.below_half_fraction / 2.0
     if delta <= 0:  # the thresholds leave no margin above n/2 to certify
@@ -320,10 +316,10 @@ def _arbitrary_with_bound(
     return maximal_matching_cover(h)
 
 
-def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: PipelineConfig) -> frozenset[int]:
+def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, th: Thresholds) -> frozenset[int]:
     """Both product conditions hold: solve the band subgraph of the first copy
     exactly when bipartite, else record the odd-cycle probe and fall back."""
-    eps, _, probe = a.band_probe(cfg.thresholds, cfg.probe_tol)
+    eps, _, probe = a.band_probe(th)
     trace.theorem6_probe = to_plain(probe)
 
     if not probe.bipartite:
@@ -345,13 +341,11 @@ def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, cfg: Pipeline
     return cover
 
 
-def evaluate_ratio(
-    trace: RunTrace, oracle_result: ExactResult | None, tau_ratio: float = TAU_RATIO
-) -> RunTrace:
+def evaluate_ratio(trace: RunTrace, oracle_result: ExactResult | None) -> RunTrace:
     """Fill in the measured ratio and check every emitted certificate against it.
 
-    A certificate whose claimed bound falls below the measured ratio is a
-    headline finding, flagged rather than raised.
+    A certificate whose claimed bound falls below the measured ratio, by more
+    than TAU_RATIO, is a headline finding, flagged rather than raised.
     """
     if oracle_result is None or oracle_result.status != STATUS_OPTIMAL:
         trace.oracle_status = oracle_result.status if oracle_result else None
@@ -365,7 +359,7 @@ def evaluate_ratio(
     else:
         trace.empirical_ratio = trace.cover_size / oracle_result.size
     for cert in trace.certificates:
-        if trace.empirical_ratio > cert["claimed_ratio_bound"] + tau_ratio:
+        if trace.empirical_ratio > cert["claimed_ratio_bound"] + TAU_RATIO:
             trace.certificate_violated = True
             if "certificate_violated" not in trace.flags:
                 trace.flags.append("certificate_violated")

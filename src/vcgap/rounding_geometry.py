@@ -246,12 +246,12 @@ def odd_cycle_probe(
     emb: VectorEmbedding,
     eps_sub: EpsilonSubgraph,
     anchor_edge_other_copy: tuple[int, int] | None,
-    tol: float = PROBE_TOL,
 ) -> OddCycleProbe:
     """Evaluate the odd-cycle contradiction chain on a band subgraph.
 
     The argument itself fixes no tolerance for its approximations, so raw
-    magnitudes are always reported and the headline verdict is taken at tol.
+    magnitudes are always reported and the headline verdict is taken at
+    PROBE_TOL.
     """
     result = find_odd_cycle(eps_sub.graph)
     if isinstance(result, Bipartition):
@@ -279,7 +279,7 @@ def odd_cycle_probe(
     )
     collapse = tuple(float(np.linalg.norm(vec[v + 1] - 0.5 * u)) for v in verts)
     contradiction = abs(u_norm - math.sqrt(2.0))
-    applicable = max(per_edge) <= tol
+    applicable = max(per_edge) <= PROBE_TOL
     return OddCycleProbe(
         bipartite=False,
         cycle=verts,
@@ -289,6 +289,6 @@ def odd_cycle_probe(
         per_edge_defects=per_edge,
         collapse_defects=collapse,
         chain_applicable=applicable,
-        contradiction_flagged=applicable and contradiction > tol,
+        contradiction_flagged=applicable and contradiction > PROBE_TOL,
         note="",
     )

@@ -40,7 +40,9 @@ import numpy as np
 from .errors import ArgumentError, SolverError, VcgapError, check_int, check_keys, check_real, is_real
 from .graph_core import DoubledGraph, Graph, to_plain
 
-TAU_FEAS = 1e-5
+TAU_FEAS = 1e-5  # ADMM's stopping rule: residuals at most TAU_FEAS,
+TAU_OBJ = 1e-6  # the objective's move since the last check at most TAU_OBJ,
+ADMM_MAX_ITER = 50000  # else nonconverged after ADMM_MAX_ITER iterations
 TAU_FACTOR = 1e-4
 TAU_NORM = 1e-6
 OVER_RELAX = 1.8
@@ -189,18 +191,6 @@ class SdpProblem:
     @property
     def n_constraints(self) -> int:
         return len(self.con_i)
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    tau_feas: float = TAU_FEAS
-    tau_obj: float = 1e-6
-    max_iter: int = 50000
-
-    def __post_init__(self):
-        check_real("tau_feas", self.tau_feas, 0.0)
-        check_real("tau_obj", self.tau_obj, 0.0)
-        check_int("max_iter", self.max_iter)
 
 
 @dataclass
@@ -367,13 +357,15 @@ def _project_affine(V: np.ndarray, state: _AffineState | None) -> np.ndarray:
     return V
 
 
-def admm_solve(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> GramSolution:
+def admm_solve(p: SdpProblem) -> GramSolution:
     """Consensus ADMM over the equality subspace, the box, and the PSD cone.
 
     The returned matrix is the last PSD-block iterate, so its minimum
     eigenvalue is nonnegative up to roundoff; equality and box violations are
-    reported on the same matrix. Hitting max_iter returns the best candidate
-    flagged as nonconverged rather than raising.
+    reported on the same matrix. It stops at the first check where both are
+    at most TAU_FEAS and the objective moved at most TAU_OBJ; hitting
+    ADMM_MAX_ITER returns the last candidate flagged as nonconverged rather
+    than raising.
 
     The three blocks' iterates and scaled duals are stacked in (3, dim, dim)
     arrays so that each elementwise step is one numpy call; every entry still
@@ -392,7 +384,7 @@ def admm_solve(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> GramSolutio
     alpha = OVER_RELAX
     one_minus_alpha = 1.0 - alpha
     pull = C / (3.0 * rho)  # objective step; recomputed whenever rho changes
-    max_iter, check_every = cfg.max_iter, CHECK_EVERY
+    max_iter, check_every, tau_feas, tau_obj = ADMM_MAX_ITER, CHECK_EVERY, TAU_FEAS, TAU_OBJ
 
     Z = np.eye(d)
     U = np.zeros((3, d, d))
@@ -441,9 +433,9 @@ def admm_solve(p: SdpProblem, cfg: SolverConfig = SolverConfig()) -> GramSolutio
             last_req, last_rbox = _residuals(cand, p)
             obj = float(cand[0, 1:].sum())
             if (
-                last_req <= cfg.tau_feas
-                and last_rbox <= cfg.tau_feas
-                and abs(obj - prev_obj) <= cfg.tau_obj
+                last_req <= tau_feas
+                and last_rbox <= tau_feas
+                and abs(obj - prev_obj) <= tau_obj
             ):
                 converged = True
                 break

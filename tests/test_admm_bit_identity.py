@@ -24,7 +24,6 @@ from vcgap.harness_cli import generate_graph
 from vcgap.sdp_solve import (
     GramSolution,
     SdpProblem,
-    SolverConfig,
     admm_solve,
     build_sdp_doubled,
     build_sdp_single,
@@ -83,9 +82,10 @@ def _ref_residuals(M, p):
     return r_eq, max(r_box, 0.0)
 
 
-def reference_admm_solve(p: SdpProblem, cfg: SolverConfig, moves: Counter | None = None) -> GramSolution:
-    """The solver under sdp_solve's current OVER_RELAX and CHECK_EVERY; each
-    penalty raise and lower is counted into `moves` when given."""
+def reference_admm_solve(p: SdpProblem, moves: Counter | None = None) -> GramSolution:
+    """The solver under sdp_solve's current OVER_RELAX, CHECK_EVERY and
+    ADMM_MAX_ITER, with its own stopping tolerances; each penalty raise and
+    lower is counted into `moves` when given."""
     moves = Counter() if moves is None else moves
     d = p.dim
     if d == 1:
@@ -97,6 +97,8 @@ def reference_admm_solve(p: SdpProblem, cfg: SolverConfig, moves: Counter | None
     rho = max(1.0, math.sqrt(d))
     alpha = sdp_solve.OVER_RELAX
     check_every = sdp_solve.CHECK_EVERY
+    max_iter = sdp_solve.ADMM_MAX_ITER
+    tau_feas, tau_obj = 1e-5, 1e-6
 
     Z = np.eye(d)
     U = [np.zeros((d, d)) for _ in range(3)]
@@ -111,7 +113,7 @@ def reference_admm_solve(p: SdpProblem, cfg: SolverConfig, moves: Counter | None
     last_req = last_rbox = math.inf
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < max_iter:
         it += 1
         Z_prev = Z
         X = [proj(Z - U[i]) for i, proj in enumerate(projections)]
@@ -134,14 +136,14 @@ def reference_admm_solve(p: SdpProblem, cfg: SolverConfig, moves: Counter | None
                     U[i] *= 2.0
                 moves["lower"] += 1
 
-        if it % check_every == 0 or it == cfg.max_iter:
+        if it % check_every == 0 or it == max_iter:
             cand = X[2]
             last_req, last_rbox = _ref_residuals(cand, p)
             obj = float(cand[0, 1:].sum())
             if (
-                last_req <= cfg.tau_feas
-                and last_rbox <= cfg.tau_feas
-                and abs(obj - prev_obj) <= cfg.tau_obj
+                last_req <= tau_feas
+                and last_rbox <= tau_feas
+                and abs(obj - prev_obj) <= tau_obj
             ):
                 converged = True
                 break
@@ -192,16 +194,16 @@ PROBLEMS = {
     "dim-one": lambda: _single(Graph.build([], [])),
 }
 
-# Each case is a config plus values patched over sdp_solve's loop constants.
-# At the defaults the penalty only rises (once, on single-c5); without
+# Each case is values patched over sdp_solve's loop constants. At the
+# defaults the penalty only rises (once, on single-c5); without
 # over-relaxation it is lowered on several problems.
 CASES = {
-    "default": (SolverConfig(), {}),
-    "max-iter-cutoff": (SolverConfig(max_iter=137), {}),
-    "cutoff-off-check": (SolverConfig(max_iter=60), {}),
-    "no-relax": (SolverConfig(max_iter=4000), {"OVER_RELAX": 1.0}),
-    "relax-1.5": (SolverConfig(max_iter=4000), {"OVER_RELAX": 1.5}),
-    "check-every-7": (SolverConfig(max_iter=4000), {"CHECK_EVERY": 7}),
+    "default": {},
+    "max-iter-cutoff": {"ADMM_MAX_ITER": 137},
+    "cutoff-off-check": {"ADMM_MAX_ITER": 60},
+    "no-relax": {"ADMM_MAX_ITER": 4000, "OVER_RELAX": 1.0},
+    "relax-1.5": {"ADMM_MAX_ITER": 4000, "OVER_RELAX": 1.5},
+    "check-every-7": {"ADMM_MAX_ITER": 4000, "CHECK_EVERY": 7},
 }
 
 
@@ -214,9 +216,8 @@ def _patch(monkeypatch, constants: dict) -> None:
 @pytest.mark.parametrize("prob_name", sorted(PROBLEMS))
 def test_admm_matches_reference_bit_for_bit(prob_name, case, monkeypatch):
     p = PROBLEMS[prob_name]()
-    cfg, constants = CASES[case]
-    _patch(monkeypatch, constants)
-    assert_identical(admm_solve(p, cfg), reference_admm_solve(p, cfg))
+    _patch(monkeypatch, CASES[case])
+    assert_identical(admm_solve(p), reference_admm_solve(p))
 
 
 def test_reference_cases_exercise_both_stop_rules(monkeypatch):
@@ -225,10 +226,10 @@ def test_reference_cases_exercise_both_stop_rules(monkeypatch):
     outcomes = set()
     for prob_name in ("doubled-gnp8", "doubled-c5"):
         p = PROBLEMS[prob_name]()
-        for cfg, constants in CASES.values():
+        for constants in CASES.values():
             with monkeypatch.context() as m:
                 _patch(m, constants)
-                outcomes.add(admm_solve(p, cfg).converged)
+                outcomes.add(admm_solve(p).converged)
     assert outcomes == {True, False}
 
 
@@ -238,26 +239,26 @@ def test_reference_cases_exercise_both_penalty_moves(monkeypatch):
     moves = Counter()
     for prob_name in ("single-c5", "single-gnp9"):
         p = PROBLEMS[prob_name]()
-        for cfg, constants in CASES.values():
+        for constants in CASES.values():
             with monkeypatch.context() as m:
                 _patch(m, constants)
-                reference_admm_solve(p, cfg, moves)
+                reference_admm_solve(p, moves)
     assert moves["raise"] >= 1 and moves["lower"] >= 1
 
 
-def test_blas_thread_count_leaves_the_gram_unchanged():
+def test_blas_thread_count_leaves_the_gram_unchanged(monkeypatch):
     # vcgap sets one BLAS thread once per process; that is safe only because
     # the thread count does not change a single bit of the solve. At dim 41
     # a second OpenBLAS thread is active: the solve's CPU time doubles.
     p = _doubled(generate_graph("gnp", 20, 0.3, seed=777))
-    cfg = SolverConfig(max_iter=2000)
+    monkeypatch.setattr(sdp_solve, "ADMM_MAX_ITER", 2000)
     try:
         assert {after for _, _, after in sdp_solve.set_openblas_threads(2)} == {2}
-        two = admm_solve(p, cfg)
+        two = admm_solve(p)
     finally:
         sdp_solve.set_openblas_threads(1)
     assert p.dim == 41
-    assert_identical(admm_solve(p, cfg), two)
+    assert_identical(admm_solve(p), two)
 
 
 @pytest.mark.parametrize("prob_name", sorted(PROBLEMS))
@@ -266,12 +267,12 @@ def test_scipy_potrs_fallback_matches_numpys_openblas(prob_name, monkeypatch, tm
     # must give the same bits. A maps file that does not exist forces that.
     assert sdp_solve._potrs_call.func is sdp_solve._openblas_potrs
     p = PROBLEMS[prob_name]()
-    cfg = SolverConfig(max_iter=4000)
-    bound = admm_solve(p, cfg)
+    monkeypatch.setattr(sdp_solve, "ADMM_MAX_ITER", 4000)
+    bound = admm_solve(p)
     fallback = sdp_solve._bind_potrs(str(tmp_path / "missing"))
     assert fallback.func is sdp_solve._scipy_potrs
     monkeypatch.setattr(sdp_solve, "_potrs_call", fallback)
-    got = admm_solve(p, cfg)
+    got = admm_solve(p)
     assert np.array_equal(got.matrix, bound.matrix)
     assert (got.iterations, got.converged) == (bound.iterations, bound.converged)
 

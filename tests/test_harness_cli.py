@@ -86,8 +86,8 @@ class TestExpandCorpus:
 
 GEN_ENTRY = {"model": "gnp", "n": 6, "parameter": 0.4, "seed": 1}
 BAD_BATCHES = {
-    "pipeline-unknown-key": ({"corpus": [GEN_ENTRY], "pipeline": {"sdp": {"max_iters": 10}}}, "pipeline.sdp.max_iters"),
-    "pipeline-bad-value": ({"corpus": [GEN_ENTRY], "pipeline": {"sdp": {"max_iter": 0}}}, "max_iter"),
+    "pipeline-unknown-key": ({"corpus": [GEN_ENTRY], "pipeline": {"thresholds": {"epsilom": 1}}}, "pipeline.thresholds.epsilom"),
+    "pipeline-bad-value": ({"corpus": [GEN_ENTRY], "pipeline": {"oracle_budget": 0}}, "oracle_budget"),
     "unknown-top-key": ({"corpus": [GEN_ENTRY], "jobz": 2}, "jobz"),
     "id-on-generated-entry": ({"corpus": [dict(GEN_ENTRY, id="mine")]}, "id"),
     "model-on-file-entry": ({"corpus": [{"file": "x.dimacs", "model": "gnp"}]}, "model"),
@@ -522,7 +522,7 @@ class TestCliMain:
 
     def test_option_outside_its_subcommand_exit_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sdp": {"max_iter": 40}}))
+        cfg.write_text(json.dumps({"oracle_budget": 40}))
         dimacs = tmp_path / "k3.dimacs"
         dimacs.write_text(write_dimacs(complete_graph(3)))
         assert main(["--config", str(cfg), "solve", str(dimacs)]) == 1
@@ -563,17 +563,19 @@ class TestCliMain:
         assert "ExtractionError" in capsys.readouterr().err
 
     def test_probe_rejects_unknown_threshold_key(self, tmp_path, capsys):
+        # the thresholds come from the config document only
         g = complete_graph(2)
         gram = GramSolution(np.eye(3), 0.0, 0.0, 0.0, 1.0, 1, True)
         doc = {
             "graph": json.loads(g.to_json()),
             "gram": json.loads(gram.to_json()),
-            "thresholds": {"epsilon": 0.01, "band_top": 0.51},
+            "thresholds": {"epsilon": 0.01},
         }
         path = tmp_path / "gram.json"
         path.write_text(json.dumps(doc))
         assert main(["probe", str(path)]) == 1
-        assert "thresholds.band_top" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("input error") and "thresholds" in err
 
     def test_half_integrality_violation_exit_2(self, tmp_path, capsys, monkeypatch):
         def off_grid(*args, **kwargs):
@@ -612,7 +614,7 @@ class TestCliMain:
 
     def test_config_via_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sdp": {"max_iter": 40000}}))
+        cfg.write_text(json.dumps({"oracle_budget": 40000}))
         monkeypatch.setenv("VCGAP_CONFIG", str(cfg))
         dimacs = tmp_path / "k3.dimacs"
         dimacs.write_text(write_dimacs(complete_graph(3)))

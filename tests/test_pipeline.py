@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import check_plain_record, complete_graph, cycle_graph, embedding_of, random_gnp, star_graph
-from vcgap import pipeline
+from vcgap import pipeline, sdp_solve
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import ExactResult, exact_vc
 from vcgap.graph_core import Graph, duplicate_join, verify_cover, write_dimacs
@@ -31,11 +31,14 @@ from vcgap.pipeline import (
     two_approx_baseline,
 )
 from vcgap.rounding_geometry import Thresholds
-from vcgap.sdp_solve import SolverConfig
 
 
 def run_with_oracle(g: Graph, cfg: PipelineConfig = PipelineConfig()) -> RunTrace:
-    return evaluate_ratio(mahdis_run(g, cfg), exact_vc(g), cfg.tau_ratio)
+    return evaluate_ratio(mahdis_run(g, cfg), exact_vc(g))
+
+
+def pipeline_messages(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if r.name == "vcgap.pipeline"]
 
 
 def trace_key(trace: RunTrace) -> dict:
@@ -91,31 +94,46 @@ class TestMahdisRun:
         caplog.set_level(logging.DEBUG, logger="vcgap.pipeline")
         mahdis_run(star_graph(4))
         mahdis_run(complete_graph(3))
-        assert [r.getMessage() for r in caplog.records if r.name == "vcgap.pipeline"] == [
+        # K4 less one edge: two products per copy fall below one half, so the first copy is cut
+        k4_less_an_edge = Graph.build(range(4), [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        assert mahdis_run(k4_less_an_edge).step_taken == STEP_CUT_PRIME
+        assert pipeline_messages(caplog) == [
             "kernel gate: z_lp=1.0, n/2=2.5, fired; residual n=0 m=0",
             "kernel gate: z_lp=1.5, n/2=1.5, not fired; residual n=3 m=3",
+            "rounding branch: step6_arbitrary; copy 1 below_half=0 above_band=3, copy 2 below_half=0 above_band=3",
+            "kernel gate: z_lp=2.0, n/2=2.0, not fired; residual n=4 m=5",
+            "rounding branch: step4_cut_prime; copy 1 below_half=2 above_band=2, copy 2 below_half=2 above_band=2",
         ]
 
     def test_deterministic_traces(self):
         g = random_gnp(10, 0.4, seed=303)
         assert trace_key(mahdis_run(g)) == trace_key(mahdis_run(g))
 
-    def test_sdp_nonconvergence_falls_back_to_matching(self):
-        cfg = PipelineConfig(sdp=SolverConfig(max_iter=3))
-        trace = run_with_oracle(cycle_graph(5), cfg)
+    def test_sdp_nonconvergence_falls_back_to_matching(self, monkeypatch, caplog):
+        caplog.set_level(logging.DEBUG, logger="vcgap.pipeline")
+        monkeypatch.setattr(sdp_solve, "ADMM_MAX_ITER", 3)
+        trace = run_with_oracle(cycle_graph(5))
         assert trace.step_taken == STEP_SDP_FALLBACK
+        assert pipeline_messages(caplog)[-1] == (
+            "rounding branch: sdp_nonconverged_fallback; ADMM not converged after 3 iterations"
+        )
         assert "sdp_nonconverged" in trace.flags
         assert verify_cover(cycle_graph(5), frozenset(trace.in_cover)) == []
 
-    def test_theorem6_violation_path_on_widened_band(self):
+    def test_theorem6_violation_path_on_widened_band(self, caplog):
         # The doubled five-cycle relaxes to uniform products around 0.553;
         # widening the band makes both conditions hold while the band
         # subgraph stays the odd cycle itself, so the probe must fire.
         cfg = PipelineConfig(
             thresholds=Thresholds(below_half_fraction=0.5, above_band_fraction=0.5, epsilon=0.1)
         )
+        caplog.set_level(logging.DEBUG, logger="vcgap.pipeline")
         trace = run_with_oracle(cycle_graph(5), cfg)
         assert trace.step_taken == STEP_THEOREM6_FALLBACK
+        assert pipeline_messages(caplog)[-1] == (
+            "rounding branch: theorem6_violation_fallback; "
+            "copy 1 below_half=0 above_band=0, copy 2 below_half=0 above_band=0"
+        )
         assert "theorem6_violation" in trace.flags
         probe = trace.theorem6_probe
         assert probe is not None and not probe["bipartite"]
@@ -123,7 +141,7 @@ class TestMahdisRun:
         assert len(probe["per_edge_defects"]) == 5
         assert trace.empirical_ratio <= 2.0
 
-    def test_bipartite_step_on_widened_band(self):
+    def test_bipartite_step_on_widened_band(self, caplog):
         # The five-cycle with one chord solves to a product spread around
         # (0.60, 0.70, 0.50, 0.50, 0.70); a band topping out at 0.65 slices
         # off a bipartite subgraph whatever the sign noise at the 0.50
@@ -132,8 +150,12 @@ class TestMahdisRun:
             thresholds=Thresholds(below_half_fraction=0.5, above_band_fraction=0.5, epsilon=0.15)
         )
         g = Graph.build(range(1, 6), [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 5)])
+        caplog.set_level(logging.DEBUG, logger="vcgap.pipeline")
         trace = run_with_oracle(g, cfg)
         assert trace.step_taken == STEP_BIPARTITE
+        assert pipeline_messages(caplog)[-1] == (
+            "rounding branch: step8_bipartite; copy 1 below_half=0 above_band=2, copy 2 below_half=0 above_band=2"
+        )
         assert trace.empirical_ratio <= 2.0
         assert verify_cover(g, frozenset(trace.in_cover)) == []
         assert trace.certificates and trace.certificates[-1]["source"] == "theorem3"
@@ -248,22 +270,19 @@ def _leaves(doc: dict, prefix: str = "") -> dict:
 
 
 NON_DEFAULT_CONFIG = PipelineConfig(
-    tau_ratio=1e-8,
     thresholds=Thresholds(below_half_fraction=0.001, above_band_fraction=0.02, epsilon=0.001),
-    sdp=SolverConfig(tau_feas=1e-4, tau_obj=1e-5, max_iter=100),
-    probe_tol=0.01,
     oracle_budget=10,
 )
 
-# Keys earlier schemas accepted: solver internals, the probe's anchor edge and
-# the tolerance of the retired doubled-value bracket check.
+# Keys earlier schemas accepted: solver internals and tolerances (the whole
+# `sdp` object among them), the probe's anchor edge and the tolerance of the
+# retired doubled-value bracket check.
 REMOVED_KEYS = {
     "tau_lp": {"tau_lp": 1e-7},
     "tau_half": {"tau_half": 1e-4},
-    "sdp.step": {"sdp": {"step": 0.5}},
-    "sdp.over_relax": {"sdp": {"over_relax": 1.8}},
-    "sdp.adapt_rho": {"sdp": {"adapt_rho": True}},
-    "sdp.check_every": {"sdp": {"check_every": 25}},
+    "sdp": {"sdp": {"max_iter": 50000}},
+    "tau_ratio": {"tau_ratio": 1e-9},
+    "probe_tol": {"probe_tol": 0.004},
     "anchor_edge": {"anchor_edge": [0, 1]},
     "tau_cmp": {"tau_cmp": 1e-3},
 }
@@ -271,21 +290,17 @@ REMOVED_KEYS = {
 BAD_CONFIGS = {
     "unknown-top": ({"tau_lpp": 1e-7}, "tau_lpp"),
     "unknown-thresholds": ({"thresholds": {"epsilom": 0.1}}, "thresholds.epsilom"),
-    "unknown-sdp": ({"sdp": {"max_iters": 10}}, "sdp.max_iters"),
     "band_top": ({"thresholds": {"band_top": 0.5004}}, "thresholds.band_top"),
-    "tau_psd": ({"sdp": {"tau_psd": 1e-7}}, "sdp.tau_psd"),
-    "nan": ({"sdp": {"tau_feas": math.nan}}, "tau_feas"),
-    "inf": ({"probe_tol": math.inf}, "probe_tol"),
-    "wrong-type": ({"sdp": {"max_iter": "100"}}, "max_iter"),
+    "nan": ({"thresholds": {"epsilon": math.nan}}, "epsilon"),
+    "inf": ({"thresholds": {"above_band_fraction": math.inf}}, "above_band_fraction"),
+    "wrong-type": ({"oracle_budget": "100"}, "oracle_budget"),
     "bool-for-int": ({"oracle_budget": True}, "oracle_budget"),
-    "max_iter-0": ({"sdp": {"max_iter": 0}}, "max_iter"),
+    "oracle_budget-0": ({"oracle_budget": 0}, "oracle_budget"),
     "above_band_fraction-1": ({"thresholds": {"above_band_fraction": 1}}, "above_band_fraction"),
     "epsilon-0": ({"thresholds": {"epsilon": 0}}, "epsilon"),
     "epsilon-negative": ({"thresholds": {"epsilon": -0.3}}, "epsilon"),
     "epsilon-half": ({"thresholds": {"epsilon": 0.5}}, "epsilon"),
-    "tau_obj-0": ({"sdp": {"tau_obj": 0}}, "tau_obj"),
-    "probe_tol-negative": ({"probe_tol": -1.0}, "probe_tol"),
-    "tau_ratio-list": ({"tau_ratio": [1e-9]}, "tau_ratio"),
+    "oracle_budget-list": ({"oracle_budget": [10]}, "oracle_budget"),
     "non-object": ([1, 2], "config"),
     "non-object-nested": ({"thresholds": 5}, "thresholds"),
     **{f"removed-{key}": (doc, f"unknown config key '{key}'") for key, doc in REMOVED_KEYS.items()},
@@ -296,7 +311,7 @@ class TestPipelineConfig:
     def test_non_default_config_sets_every_value(self):
         default = _leaves(PipelineConfig().to_dict())
         changed = _leaves(NON_DEFAULT_CONFIG.to_dict())
-        assert len(default) == 9
+        assert len(default) == 4
         assert [k for k in default if default[k] == changed[k]] == []
 
     @pytest.mark.parametrize("cfg", [PipelineConfig(), NON_DEFAULT_CONFIG], ids=["default", "non-default"])
@@ -305,8 +320,8 @@ class TestPipelineConfig:
         assert PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_absent_keys_keep_defaults(self):
-        cfg = PipelineConfig.from_dict({"sdp": {"max_iter": 40}})
-        assert cfg.sdp == SolverConfig(max_iter=40)
+        cfg = PipelineConfig.from_dict({"oracle_budget": 40})
+        assert cfg.oracle_budget == 40
         assert cfg.thresholds == Thresholds()
 
     @pytest.mark.parametrize("doc,key", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
@@ -319,6 +334,20 @@ class TestPipelineConfig:
         dimacs.write_text(write_dimacs(complete_graph(3)))
         assert main(["solve", str(dimacs), "--no-exact", "--config", str(cfg)]) == 1
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", list(REMOVED_KEYS))
+    def test_removed_key_rejected_through_env_and_batch(self, key, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(REMOVED_KEYS[key]))
+        dimacs = tmp_path / "k3.dimacs"
+        dimacs.write_text(write_dimacs(complete_graph(3)))
+        monkeypatch.setenv("VCGAP_CONFIG", str(cfg))
+        assert main(["solve", str(dimacs), "--no-exact"]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        spec = tmp_path / "batch.json"
+        spec.write_text(json.dumps({"corpus": [], "pipeline": REMOVED_KEYS[key]}))
+        assert main(["batch", str(spec), "--out", str(tmp_path)]) == 1
+        assert f"unknown config key 'pipeline.{key}'" in capsys.readouterr().err
 
     def test_readme_config_block_is_the_default_config(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
@@ -336,13 +365,13 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: SolverConfig(tau_feas=math.nan),
-            lambda: SolverConfig(tau_obj=0.0),
-            lambda: SolverConfig(max_iter=10.0),
-            lambda: SolverConfig(max_iter=True),
+            lambda: Thresholds(below_half_fraction=math.nan),
+            lambda: Thresholds(above_band_fraction=0.0),
+            lambda: PipelineConfig(oracle_budget=10.0),
+            lambda: PipelineConfig(oracle_budget=True),
             lambda: Thresholds(epsilon=math.inf),
-            lambda: PipelineConfig(probe_tol=0.0),
-            lambda: PipelineConfig(tau_ratio=[1e-9]),
+            lambda: PipelineConfig(oracle_budget=0),
+            lambda: PipelineConfig(oracle_budget=[10]),
         ],
     )
     def test_constructors_reject_what_parsing_rejects(self, make):

@@ -327,7 +327,7 @@ class TestOddCycleProbe:
         for i in range(5):
             assert emb.origin[i] == pytest.approx(0.5, abs=1e-12)
             assert float(emb.vectors[1 + i] @ emb.vectors[1 + (i + 1) % 5]) == pytest.approx(0.0, abs=1e-9)
-        probe = odd_cycle_probe(emb, eps, anchor, tol=0.004)
+        probe = odd_cycle_probe(emb, eps, anchor)
         assert not probe.bipartite
         assert len(probe.cycle) == 5
         worst = max(max(probe.per_edge_defects), probe.contradiction_magnitude)
@@ -354,7 +354,7 @@ class TestOddCycleProbe:
         merged_vectors[6, -2] = math.sqrt(1 - 0.81)
         merged_vectors[7, 0] = 0.9
         merged_vectors[7, -1] = math.sqrt(1 - 0.81)
-        probe = odd_cycle_probe(embedding_of(merged_vectors), eps, (5, 6), tol=0.004)
+        probe = odd_cycle_probe(embedding_of(merged_vectors), eps, (5, 6))
         assert not probe.chain_applicable
         assert not probe.contradiction_flagged
         assert max(probe.per_edge_defects) > 0.004
@@ -496,7 +496,7 @@ class TestPositionalReadingMatchesLabels:
                 assert eps[-1] == reference_band(ref, sub, POSITIONAL_TH)
             other_edge = eps[1].graph.edges[0] if eps[1].graph.edges else None
             for anchor in (other_edge, None, (n, n + 1)):
-                probe = odd_cycle_probe(emb, eps[0], anchor, 0.004)
+                probe = odd_cycle_probe(emb, eps[0], anchor)
                 assert probe == reference_probe(ref, eps[0], anchor, 0.004)
                 if probe.bipartite:
                     # the bipartite step reads its coloring from the probe

@@ -16,7 +16,6 @@ from vcgap.sdp_solve import (
     TAU_GAP,
     ExtractionError,
     GramSolution,
-    SolverConfig,
     admm_solve,
     build_sdp_doubled,
     build_sdp_single,
@@ -26,7 +25,6 @@ from vcgap.sdp_solve import (
     psd_project,
 )
 
-FAST = SolverConfig()
 ADMM_TOL = 1e-3  # how far ADMM's value may lie from the optimum under the default stopping rule
 
 
@@ -45,7 +43,7 @@ class TestBuildSingle:
         g = Graph.build(range(2), [])
         p = build_sdp_single(g)
         assert p.dim == 3 and p.n_constraints == 0
-        gs = admm_solve(p, FAST)
+        gs = admm_solve(p)
         assert gs.converged and gs.objective_value == pytest.approx(0.0, abs=1e-4)
 
 
@@ -111,7 +109,7 @@ class TestAdmmSolve:
         # 1 + X_12 with X_12 boxed at zero from below.
         analytic = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, 0.0], [0.5, 0.0, 1.0]])
         assert np.linalg.eigvalsh(analytic)[0] > 0
-        gs = admm_solve(build_sdp_single(complete_graph(2)), FAST)
+        gs = admm_solve(build_sdp_single(complete_graph(2)))
         assert gs.converged
         assert gs.objective_value == pytest.approx(1.0, abs=1e-3)
 
@@ -119,28 +117,28 @@ class TestAdmmSolve:
         ansatz = np.eye(4)
         ansatz[0, 1:] = ansatz[1:, 0] = 0.5
         assert np.linalg.eigvalsh(ansatz)[0] >= -1e-12
-        gs = admm_solve(build_sdp_single(complete_graph(3)), FAST)
+        gs = admm_solve(build_sdp_single(complete_graph(3)))
         assert gs.converged
         assert gs.objective_value == pytest.approx(1.5, abs=1e-3)
 
     def test_edgeless_three(self):
-        gs = admm_solve(build_sdp_single(Graph.build(range(3), [])), FAST)
+        gs = admm_solve(build_sdp_single(Graph.build(range(3), [])))
         assert gs.objective_value == pytest.approx(0.0, abs=1e-4)
 
     def test_residuals_within_tolerance(self):
-        gs = admm_solve(build_sdp_single(cycle_graph(5)), FAST)
+        gs = admm_solve(build_sdp_single(cycle_graph(5)))
         assert gs.converged
-        assert gs.max_equality_violation <= FAST.tau_feas
-        assert gs.max_box_violation <= FAST.tau_feas
+        assert gs.max_equality_violation <= sdp_solve.TAU_FEAS
+        assert gs.max_box_violation <= sdp_solve.TAU_FEAS
         assert gs.min_eigenvalue >= -1e-7
 
-    def test_nonconvergence_is_flagged_not_raised(self):
-        cfg = SolverConfig(max_iter=3)
-        gs = admm_solve(build_sdp_single(complete_graph(3)), cfg)
+    def test_nonconvergence_is_flagged_not_raised(self, monkeypatch):
+        monkeypatch.setattr(sdp_solve, "ADMM_MAX_ITER", 3)
+        gs = admm_solve(build_sdp_single(complete_graph(3)))
         assert not gs.converged and gs.iterations == 3
 
     def test_dim_one(self):
-        gs = admm_solve(build_sdp_single(Graph.build([], [])), FAST)
+        gs = admm_solve(build_sdp_single(Graph.build([], [])))
         assert gs.converged and gs.objective_value == 0.0
 
     def test_relaxation_soundness_small_corpus(self):
@@ -149,15 +147,15 @@ class TestAdmmSolve:
             n = int(rng.integers(2, 9))
             g = random_gnp(n, float(rng.random() * 0.7 + 0.15), seed=int(rng.integers(1 << 30)))
             exact = brute_force_min_cover(g)
-            single = admm_solve(build_sdp_single(g), FAST)
-            doubled = admm_solve(build_sdp_doubled(duplicate_join(g)), FAST)
+            single = admm_solve(build_sdp_single(g))
+            doubled = admm_solve(build_sdp_doubled(duplicate_join(g)))
             if single.converged:
                 assert single.objective_value <= exact + 1e-3
             if doubled.converged:
                 assert doubled.objective_value / 2.0 <= exact + 1e-3
 
     def test_gram_json_roundtrip(self):
-        gs = admm_solve(build_sdp_single(complete_graph(2)), FAST)
+        gs = admm_solve(build_sdp_single(complete_graph(2)))
         back = gram_from_json(gs.to_json())
         assert list(json.loads(gs.to_json())) == ["dim"] + [f.name for f in fields(GramSolution)]
         assert np.array_equal(back.matrix, gs.matrix)
@@ -280,13 +278,13 @@ class TestExtractVectors:
         assert float(emb.vectors[1] @ emb.vectors[2]) == pytest.approx(1.0, abs=1e-9)
 
     def test_k2_solution_products(self):
-        gs = admm_solve(build_sdp_single(complete_graph(2)), FAST)
+        gs = admm_solve(build_sdp_single(complete_graph(2)))
         emb = extract_vectors(gs)
         assert emb.origin == pytest.approx((0.5, 0.5), abs=1e-3)
         assert float(emb.vectors[1] @ emb.vectors[2]) == pytest.approx(0.0, abs=1e-3)
 
     def test_unit_norms_and_faithfulness(self):
-        gs = admm_solve(build_sdp_single(cycle_graph(5)), FAST)
+        gs = admm_solve(build_sdp_single(cycle_graph(5)))
         emb = extract_vectors(gs)
         norms = np.linalg.norm(emb.vectors, axis=1)
         assert np.max(np.abs(norms - 1.0)) <= 1e-6
@@ -294,7 +292,7 @@ class TestExtractVectors:
         assert np.max(np.abs(recon - gs.matrix)) <= 1e-4
 
     def test_origin_is_each_rows_product_with_row_zero(self):
-        gs = admm_solve(build_sdp_doubled(duplicate_join(random_gnp(6, 0.5, seed=2))), FAST)
+        gs = admm_solve(build_sdp_doubled(duplicate_join(random_gnp(6, 0.5, seed=2))))
         emb = extract_vectors(gs)
         assert len(emb.origin) == 12
         for v, p in enumerate(emb.origin):
@@ -370,7 +368,7 @@ class TestDoubledBracket:
 
     @pytest.mark.parametrize("g,half_value", list(CLOSED_FORMS.values()), ids=list(CLOSED_FORMS))
     def test_doubled_value_is_n_minus_theta(self, g, half_value):
-        gs = admm_solve(build_sdp_doubled(duplicate_join(g)), FAST)
+        gs = admm_solve(build_sdp_doubled(duplicate_join(g)))
         assert gs.converged
         assert abs(gs.objective_value / 2.0 - half_value) <= ADMM_TOL
 
@@ -378,6 +376,6 @@ class TestDoubledBracket:
     def test_doubled_value_is_at_least_twice_the_single(self, n, p, seed):
         g = random_gnp(n, p, seed)
         lower, _ = ipm_solve(build_sdp_single(g)).bounds
-        doubled = admm_solve(build_sdp_doubled(duplicate_join(g)), FAST)
+        doubled = admm_solve(build_sdp_doubled(duplicate_join(g)))
         assert doubled.converged
         assert doubled.objective_value >= 2.0 * lower - ADMM_TOL
