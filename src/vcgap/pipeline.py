@@ -66,6 +66,8 @@ class PipelineConfig:
     oracle_budget: int = NODE_BUDGET
 
     def __post_init__(self):
+        if not isinstance(self.thresholds, Thresholds):
+            raise ArgumentError(f"thresholds must be a Thresholds, got {self.thresholds!r}")
         check_int("oracle_budget", self.oracle_budget)
 
     def to_dict(self) -> dict:

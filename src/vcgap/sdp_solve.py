@@ -20,8 +20,12 @@ Where no mapped OpenBLAS exports it (another BLAS under numpy, or no
 
 The interior-point solver, `ipm_solve`, works in the relaxation's free
 variables, with the edge equalities built in, and returns a certified
-bracket on the optimum with its Gram. `run_instance` uses it for the single
-relaxation; the doubled relaxation is still solved by ADMM.
+bracket on the optimum with its Gram. Each pair of the matrix holds one or
+two variables, read through index maps, and each variable's constraint
+matrix is e_r w^T + w e_r^T, so one rank-2 rule builds the Schur matrix
+from products with X and S^-1; its largest arrays are variables x
+variables. `run_instance` uses it for the single relaxation; the doubled
+relaxation is still solved by ADMM.
 """
 
 from __future__ import annotations
@@ -466,11 +470,15 @@ def _reduce(p: SdpProblem) -> tuple[np.ndarray, ...]:
     """The relaxation in its free variables y: a = X[0, 1:], then X[i, j] on
     every pair (0 < i < j) that no equality pins.
 
-    Returns (P, Q, T, f0, lo). Pair k is (P[k], Q[k]), in np.triu_indices
-    order; F(y) holds (T @ y + f0)[k] there, so a pinned pair holds
-    a_i + a_j - 1, and lo[k] is its lower box. Raises ArgumentError unless
-    the diagonal is fixed at 1, every upper box is >= 1 and every lower box
-    <= 0, which makes y = (1 - 1/dim, then 1 - 2/dim) strictly feasible.
+    Returns (P, Q, t, r, w, f0, lo). Pair k is (P[k], Q[k]), in
+    np.triu_indices order; F(y) holds y[t[0, k]] + y[t[1, k]] + f0[k] there,
+    index nvar = len(r) reading as 0, so a pinned pair holds a_i + a_j - 1,
+    and lo[k] is its lower box. Variable u's constraint matrix is
+    e_r w^T + w e_r^T for r = r[u] and w = w[:, u]: for a_i, r = i and w is
+    e_0 plus the pinned neighbours of i; for a free pair (p, q), r = p and
+    w = e_q. Raises ArgumentError unless the diagonal is fixed at 1, every
+    upper box is >= 1 and every lower box <= 0, which makes
+    y = (1 - 1/dim, then 1 - 2/dim) strictly feasible.
     """
     d = p.dim
     P, Q = np.nonzero(np.arange(d)[:, None] < np.arange(d))
@@ -481,17 +489,43 @@ def _reduce(p: SdpProblem) -> tuple[np.ndarray, ...]:
     pin = i * (2 * d - i - 1) // 2 + j - i - 1  # the index of pair (i, j)
     nv = d - 1
     free = np.ones(len(P), dtype=bool)
-    free[:nv] = False  # pair (0, i) is a_i
-    free[pin] = False
+    free[:nv] = free[pin] = False  # pair (0, i) is a_i
     free = np.flatnonzero(free)
-    T = np.zeros((len(P), nv + len(free)))
-    T[np.arange(nv), np.arange(nv)] = 1.0
-    T[pin, i - 1] = 1.0
-    T[pin, j - 1] = 1.0
-    T[free, nv + np.arange(len(free))] = 1.0
+    nvar = nv + len(free)
+    t = np.full((2, len(P)), nvar)
+    t[0, :nv] = np.arange(nv)
+    t[:, pin] = i - 1, j - 1
+    t[0, free] = np.arange(nv, nvar)
+    r = np.concatenate([np.arange(1, d), P[free]])
+    w = np.zeros((d, nvar))
+    w[0, :nv] = w[j, i - 1] = w[i, j - 1] = 1.0
+    w[Q[free], np.arange(nv, nvar)] = 1.0
     f0 = np.zeros(len(P))
     f0[pin] = -1.0
-    return P, Q, T, f0, lo
+    return P, Q, t, r, w, f0, lo
+
+
+def _schur(r: np.ndarray, w: np.ndarray, t: np.ndarray) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The HKM Schur matrix of `_reduce`'s variables as a function of
+    (X, W, xs): M[u, v] = <A_u X A_v, W> for A_u = e_r w^T + w e_r^T with
+    r = r[u] and w = w[:, u], plus xs[k] at every (u, v) of LP row k's
+    variables t[:, k] (len(r) reading as none). Expanding the trace gives
+    A + A^T for A[u, v] = (X w_v)[r_u] (W w_u)[r_v], plus
+    (w_u^T X w_v) W[r_u, r_v] and X[r_u, r_v] (w_u^T W w_v)."""
+    u, v = t[[0, 0, 1, 1]], t[[0, 1, 0, 1]]
+    real = np.maximum(u, v) < len(r)
+    u, v, k = u[real], v[real], np.nonzero(real)[1]
+
+    def schur(X, W, xs):
+        Xw, Ww = X @ w, W @ w
+        M = Xw.take(r, 0).T * Ww.take(r, 0)
+        M += M.T
+        M += (w.T @ Xw) * W.take(r, 0).take(r, 1)
+        M += X.take(r, 0).take(r, 1) * (w.T @ Ww)
+        np.add.at(M, (u, v), xs[k])
+        return M
+
+    return schur
 
 
 def ipm_solve(p: SdpProblem) -> CertifiedGram:
@@ -517,64 +551,51 @@ def ipm_solve(p: SdpProblem) -> CertifiedGram:
     d = p.dim
     if d == 1:
         return CertifiedGram(np.ones((1, 1)), 0.0, 0.0, 0.0, 1.0, 0, True, (0.0, 0.0))
-    P, Q, T, f0, lo = _reduce(p)
-    npairs, nvar = T.shape
+    P, Q, t, r, w, f0, lo = _reduce(p)
+    nvar = len(r)
     nv = d - 1
     up, dn = P * d + Q, Q * d + P  # flat indices of each pair in a d x d matrix
     # the LP block: the pairs whose lower box is above -1, which PSD with a
     # unit diagonal does not imply
-    lp = lo > -1.0
-    lp_up = up[lp]
+    lp = np.flatnonzero(lo > -1.0)
+    schur = _schur(r, w, t[:, lp])
     lo = lo[lp]
     nu = d + len(lo)
     c = np.zeros(nvar)
     c[:nv] = 1.0
-    # F(y) = (E @ y + e0).reshape(d, d)
-    E = np.zeros((d * d, nvar))
-    E[up] = E[dn] = T
-    e0 = np.eye(d).ravel()
-    e0[up] = e0[dn] = f0
-    # A(X) + G^T x over z = (2 X on the pairs, x), and the rest of the
-    # primal objective, <F0, X> - trace(X) + (f0 - lo) @ x, as g @ z
-    B = np.hstack([T.T, T[lp].T])
-    g = np.concatenate([f0, f0[lp] - lo])
-    # The HKM Schur matrix is M = T^T K T, where K[k, l] = <e_k X e_l, S^-1>
-    # for the pairs' unit matrices e = E_pq + E_qp, plus the LP block's x/s
-    # on the diagonal of its pairs. For pairs (p, q), (r, s) and W = S^-1,
-    # K is X_qr W_sp + X_qs W_rp + X_pr W_sq + X_ps W_rq, which is A + A^T
-    # for A = X_qr W_ps, plus X_qs W_pr and X_pr W_qs: gathers indexed by
-    # these flat (pair, pair) arrays. T is the a-columns Ta, then one unit
-    # column per free pair, so M is
-    # [[Ta^T K Ta, (K Ta)[free]^T], [(K Ta)[free], K[free, free]]].
-    qp, pq = Q[:, None] * d + P, P[:, None] * d + Q
-    qq, pp = Q[:, None] * d + Q, P[:, None] * d + P
-    lp_diag = np.flatnonzero(lp) * (npairs + 1)
-    Ta = T[:, :nv]
-    free = T[:, nv:].argmax(axis=0)  # the pair of each free variable
-    free_free = free[:, None] * npairs + free[None, :]
-    M = np.empty((nvar, nvar))
+    yz = np.zeros(nvar + 1)  # y, then the 0 that index nvar reads
+
+    def pairs(y):
+        """F(y) - F0 on the pairs."""
+        yz[:nvar] = y
+        return yz.take(t[0]) + yz.take(t[1])
+
+    def adjoint(z):
+        """The adjoint of pairs: each variable's sum of z over its pairs."""
+        return np.bincount(t[0], z, nvar) + np.bincount(t[1], z, nvar + 1)[:nvar]
 
     # V = (X, S), v = (x, s) and the direction D = (dX, dS), dv = (dx, ds)
-    # are stacked, so that one call factors or step-tests both sides
-    V = np.empty((2, d, d))
-    D = np.empty((2, d, d))
-    v = np.empty((2, len(lo)))
+    # are stacked, so that one call factors or step-tests both sides; the
+    # diagonals of S and dS stay 1 and 0
+    V = np.array([np.eye(d)] * 2)
+    D = np.zeros((2, d, d))
+    v = np.ones((2, len(lo)))
     dv = np.empty_like(v)
     X, S = V
     x, s = v
-    Vf, Df = V.reshape(2, -1), D.reshape(2, -1)
+    Sf, dSf = S.reshape(-1), D[1].reshape(-1)
 
     def gram(y):
         """S = F(y) and s = the LP slacks at y."""
-        np.dot(E, y, out=Vf[1])
-        Vf[1] += e0
-        np.subtract(Vf[1].take(lp_up), lo, out=s)
+        f = pairs(y) + f0
+        Sf[up] = Sf[dn] = f
+        np.subtract(f.take(lp), lo, out=s)
 
     def direction(dy, sm, C, cx):
         """HKM direction for the dual step dy: dS = F(dy) - F0, then
         dX = sym(sm S^-1 - X - (X dS + C) S^-1) and dx = (sm - x ds - cx)/s - x."""
-        np.dot(E, dy, out=Df[1])
-        Df[1].take(lp_up, out=dv[1])
+        dSf[up] = dSf[dn] = df = pairs(dy)
+        df.take(lp, out=dv[1])
         Y = X @ D[1] @ W + C
         D[0] = sm * W - X - (Y + Y.T) / 2.0
         dv[0] = (sm - x * dv[1] - cx) / s - x
@@ -586,15 +607,16 @@ def ipm_solve(p: SdpProblem) -> CertifiedGram:
         return [1.0 if q >= -gamma else -gamma / q for q in rate.tolist()]
 
     def bracket(X, x, y):
-        z = np.concatenate([2.0 * X.take(up), x])
-        lower = -float(X.trace() + g @ z) - float(np.abs(c - B @ z).sum())
+        # for z = 2 X on the pairs plus x on the LP pairs, A(X) + G^T x is
+        # adjoint(z) and the primal objective -(trace(X) + f0 @ z - lo @ x)
+        z = 2.0 * X.take(up)
+        z[lp] += x
+        lower = -float(X.trace() + f0 @ z - lo @ x) - float(np.abs(c - adjoint(z)).sum())
         return lower, float(y[:nv].sum())
 
     a0 = 1.0 - 1.0 / d
     y = np.full(nvar, 2.0 * a0 - 1.0)
     y[:nv] = a0
-    X[:] = np.eye(d)
-    x[:] = 1.0
     gram(y)
     gamma = 0.9
     it = 0
@@ -614,16 +636,7 @@ def ipm_solve(p: SdpProblem) -> CertifiedGram:
             if upper - lower <= TAU_GAP:
                 break
         W = R[1].T @ R[1]
-        A = X.take(qp) * W.take(pq)
-        K = A + A.T
-        K += X.take(qq) * W.take(pp)
-        K += X.take(pp) * W.take(qq)
-        K.ravel()[lp_diag] += x / s
-        KTa = K @ Ta
-        M[:nv, :nv] = Ta.T @ KTa
-        M[nv:, :nv] = KTa[free]
-        M[:nv, nv:] = M[nv:, :nv].T
-        M[nv:, nv:] = K.take(free_free)
+        M = schur(X, W, x / s)
         try:
             # predictor: no centring
             dy = np.linalg.solve(M, -c)
@@ -634,7 +647,9 @@ def ipm_solve(p: SdpProblem) -> CertifiedGram:
             # corrector: centring to sm and the second-order terms dX dS, dx ds
             C = D[0] @ D[1] @ W
             cx = dv[0] * dv[1]
-            dy = np.linalg.solve(M, B @ np.concatenate([2.0 * sm * W.take(up) - C.take(up) - C.take(dn), (sm - cx) / s]) - c)
+            z = 2.0 * sm * W.take(up) - C.take(up) - C.take(dn)
+            z[lp] += (sm - cx) / s
+            dy = np.linalg.solve(M, adjoint(z) - c)
             direction(dy, sm, C, cx)
             tp, td = steps()
         except np.linalg.LinAlgError:  # a Schur matrix singular to working precision
@@ -649,7 +664,8 @@ def ipm_solve(p: SdpProblem) -> CertifiedGram:
         it += 1
     X, x, y, it = last
     lower, upper = bracket(X, x, y)
-    F = (E @ y + e0).reshape(d, d)
+    gram(y)
+    F = S.copy()
     converged = upper - lower <= TAU_GAP
     log.debug("ipm_solve dim %d: %d iterations, gap %.3g, bracket [%.12g, %.12g]", d, it, upper - lower, lower, upper)
     r_eq, r_box = _residuals(F, p)

@@ -372,6 +372,8 @@ class TestPipelineConfig:
             lambda: Thresholds(epsilon=math.inf),
             lambda: PipelineConfig(oracle_budget=0),
             lambda: PipelineConfig(oracle_budget=[10]),
+            lambda: PipelineConfig(thresholds={"epsilon": 0.1}),
+            lambda: PipelineConfig(thresholds=None),
         ],
     )
     def test_constructors_reject_what_parsing_rejects(self, make):

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -247,6 +248,69 @@ class TestIpmSolve:
         assert len(lines) == 1
         assert f"{gs.iterations} iterations" in lines[0] and "bracket" in lines[0]
 
+    def test_single_solve_state_stays_small(self):
+        # pairs x pairs or dim^2 x nvar arrays would take tens of MB here
+        p = build_sdp_single(random_gnp(32, 0.3, seed=1))
+        tracemalloc.start()
+        try:
+            ipm_solve(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+
+def reference_schur(p, X, W, xs):
+    """The HKM Schur matrix from its definition: each variable's constraint
+    matrix A_u built densely from the problem, then <A_u X A_v, W> plus the
+    LP term sum_k xs[k] A_u[k] A_v[k] over the LP pairs k (lower box above
+    -1). Variables are a_1..a_{dim-1}, then the unpinned pairs (i, j), 0 < i < j,
+    in row order."""
+    d = p.dim
+    edges = {(min(i, j), max(i, j)) for i, j in zip(p.con_i.tolist(), p.con_j.tolist())}
+    mats = []
+    for i in range(1, d):
+        a = np.zeros((d, d))
+        a[0, i] = a[i, 0] = 1.0
+        for e in edges:
+            if i in e:
+                a[e] = a[e[::-1]] = 1.0
+        mats.append(a)
+    for i in range(1, d):
+        for j in range(i + 1, d):
+            if (i, j) not in edges:
+                a = np.zeros((d, d))
+                a[i, j] = a[j, i] = 1.0
+                mats.append(a)
+    A = np.array(mats)
+    M = np.einsum("uab,bc,vcd,da->uv", A, X, A, W, optimize=True)
+    lp = [(i, j) for i in range(d) for j in range(i + 1, d) if p.lo[i, j] > -1.0]
+    G = np.array([[a[k] for a in A] for k in lp]).reshape(len(lp), len(A))
+    return M + G.T @ (xs[:, None] * G)
+
+
+def random_spd(rng, d):
+    b = rng.normal(size=(d, d))
+    return b @ b.T / d + 0.1 * np.eye(d)
+
+
+SCHUR_GRAPHS = {"k3": complete_graph(3), "c5": cycle_graph(5), "gnp7": random_gnp(7, 0.4, seed=5)}
+
+
+class TestSchurRule:
+    @pytest.mark.parametrize("doubled", [False, True], ids=["single", "doubled"])
+    @pytest.mark.parametrize("g", list(SCHUR_GRAPHS.values()), ids=list(SCHUR_GRAPHS))
+    def test_matches_the_definition(self, g, doubled):
+        p = build_sdp_doubled(duplicate_join(g)) if doubled else build_sdp_single(g)
+        rng = np.random.default_rng(p.dim)
+        X, W = random_spd(rng, p.dim), random_spd(rng, p.dim)
+        P, Q, t, r, w, f0, lo = sdp_solve._reduce(p)
+        xs = rng.random(int((lo > -1.0).sum()))
+        got = sdp_solve._schur(r, w, t[:, lo > -1.0])(X, W, xs)
+        want = reference_schur(p, X, W, xs)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 class TestEigensolvers:
     def test_psd_projection_idempotent(self):
@@ -368,14 +432,22 @@ class TestDoubledBracket:
 
     @pytest.mark.parametrize("g,half_value", list(CLOSED_FORMS.values()), ids=list(CLOSED_FORMS))
     def test_doubled_value_is_n_minus_theta(self, g, half_value):
-        gs = admm_solve(build_sdp_doubled(duplicate_join(g)))
+        p = build_sdp_doubled(duplicate_join(g))
+        gs = admm_solve(p)
         assert gs.converged
         assert abs(gs.objective_value / 2.0 - half_value) <= ADMM_TOL
+        certified = ipm_solve(p)
+        assert certified.converged
+        lower, upper = certified.bounds
+        assert lower <= 2.0 * half_value <= upper
 
     @pytest.mark.parametrize("n,p,seed", [(6, 0.5, 1), (8, 0.4, 2), (10, 0.3, 3), (12, 0.5, 4)])
     def test_doubled_value_is_at_least_twice_the_single(self, n, p, seed):
         g = random_gnp(n, p, seed)
         lower, _ = ipm_solve(build_sdp_single(g)).bounds
-        doubled = admm_solve(build_sdp_doubled(duplicate_join(g)))
+        p = build_sdp_doubled(duplicate_join(g))
+        doubled = admm_solve(p)
         assert doubled.converged
         assert doubled.objective_value >= 2.0 * lower - ADMM_TOL
+        _, doubled_upper = ipm_solve(p).bounds
+        assert doubled_upper >= 2.0 * lower
