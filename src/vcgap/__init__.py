@@ -6,7 +6,6 @@ bipartite exact fallback, and an exact oracle for ratio measurement.
 
 from .graph_core import (
     Bipartition,
-    DoubledGraph,
     Graph,
     OddCycle,
     bipartite_double_cover,

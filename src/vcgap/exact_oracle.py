@@ -26,17 +26,13 @@ class ExactResult:
     nodes_explored: int
 
 
-class _Budget(Exception):
-    pass
-
-
 def exact_vc(g: Graph, budget: int = NODE_BUDGET) -> ExactResult:
     """Provably minimum vertex cover, or an explicit unknown when the node
     budget runs out."""
     adj = {v: set(ns) for v, ns in g.adjacency.items()}
     start = maximal_matching_cover(g)
-    best = [len(start), set(start)]
-    counter = [0]
+    best_size, best_cover = len(start), set(start)
+    nodes = 0
 
     def matching_bound(a: dict[int, set[int]]) -> int:
         used: set[int] = set()
@@ -56,11 +52,23 @@ def exact_vc(g: Graph, budget: int = NODE_BUDGET) -> ExactResult:
         for w in a.pop(v):
             a[w].discard(v)
 
-    def search(a: dict[int, set[int]], chosen: set[int]) -> None:
-        # `a` and `chosen` are the node's own copies, reduced in place
-        counter[0] += 1
-        if counter[0] > budget:
-            raise _Budget()
+    # Depth first over an explicit stack, visiting nodes in the order a
+    # recursion would: an entry is a node's own (a, chosen), reduced in place
+    # once popped, or (a, chosen, v) for the "v out" child of a branching
+    # node, built when popped, after the "v in" child's whole subtree.
+    stack: list[tuple] = [(adj, set())]
+    while stack:
+        a, chosen, *branch = stack.pop()
+        if branch:
+            # branch: v out, so all its neighbors are in
+            ns = sorted(a[branch[0]])
+            a = {u: set(ns2) for u, ns2 in a.items()}
+            for w in ns:
+                remove_vertex(a, w)
+            chosen = chosen | set(ns)
+        nodes += 1
+        if nodes > budget:
+            return ExactResult(STATUS_UNKNOWN, None, None, nodes)
         # reductions: drop isolated vertices, fold degree-one vertices
         changed = True
         while changed:
@@ -79,31 +87,21 @@ def exact_vc(g: Graph, budget: int = NODE_BUDGET) -> ExactResult:
                         del a[v]
                     changed = True
         if not a:
-            if len(chosen) < best[0]:
-                best[0] = len(chosen)
-                best[1] = chosen
-            return
-        if len(chosen) + matching_bound(a) >= best[0]:
-            return
+            if len(chosen) < best_size:
+                best_size, best_cover = len(chosen), chosen
+            continue
+        if len(chosen) + matching_bound(a) >= best_size:
+            continue
         v = max(sorted(a), key=lambda u: len(a[u]))
+        stack.append((a, chosen, v))
         # branch: v in the cover
         a1 = {u: set(ns) for u, ns in a.items()}
         remove_vertex(a1, v)
-        search(a1, chosen | {v})
-        # branch: v out, so all its neighbors are in
-        ns = sorted(a[v])
-        a2 = {u: set(ns2) for u, ns2 in a.items()}
-        for w in ns:
-            remove_vertex(a2, w)
-        search(a2, chosen | set(ns))
+        stack.append((a1, chosen | {v}))
 
-    try:
-        search(adj, set())
-    except _Budget:
-        return ExactResult(STATUS_UNKNOWN, None, None, counter[0])
-    cover = frozenset(best[1])
+    cover = frozenset(best_cover)
     uncovered = verify_cover(g, cover)
     if uncovered:
         raise ContractViolation(f"oracle produced an infeasible cover: {uncovered[:5]}")
-    return ExactResult(STATUS_OPTIMAL, best[0], cover, counter[0])
+    return ExactResult(STATUS_OPTIMAL, best_size, cover, nodes)
 

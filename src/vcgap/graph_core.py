@@ -5,7 +5,10 @@ cover is the frozenset of the vertex ids in it.
 
 Vertex ids are stable integers that survive induced subgraphs; the doubled
 graph and the double cover number their vertices by position, so vertices i
-and n+i are the two copies of the i-th base vertex.
+and n+i are the two copies of the i-th base vertex. The pipeline builds the
+doubled relaxation from the base graph itself (`sdp_solve.build_sdp_doubled`);
+`duplicate_join` writes the doubled graph out, as the reference that builder
+is checked against.
 """
 
 from __future__ import annotations
@@ -93,27 +96,6 @@ def graph_from_json(text: str) -> Graph:
     return Graph.build(range(doc["n"]), map(tuple, edges))
 
 
-@dataclass(frozen=True)
-class DoubledGraph:
-    """Two disjoint copies of a base graph plus every cross pair as an edge.
-
-    Combined vertex ids are positional: 0..n-1 are the prime copy in base
-    vertex order, n..2n-1 the double-prime copy. The combined edge count is
-    always 2*m + n^2.
-    """
-
-    base: Graph
-    combined: Graph
-
-    def copy_ids(self, copy: int) -> range:
-        """Combined ids of the prime (0) or double-prime (1) copy."""
-        n = self.base.n
-        return range(copy * n, (copy + 1) * n)
-
-    def base_id(self, combined_id: int) -> int:
-        return self.base.vertices[combined_id % self.base.n]
-
-
 def parse_dimacs(text: str | bytes) -> Graph:
     """Read DIMACS edge format: a "p edge n m" header then "e u v" lines, 1-based.
 
@@ -181,8 +163,10 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     return Graph.build(keep_set, edges)
 
 
-def duplicate_join(g: Graph) -> DoubledGraph:
-    """Combine two copies of g, adding every (prime, double-prime) pair as an edge."""
+def duplicate_join(g: Graph) -> Graph:
+    """Two copies of g on the positional ids 0..2n-1, vertex i and n+i copying
+    the i-th base vertex, with every (prime, double-prime) pair as an edge, so
+    2m + n^2 edges in all."""
     n = g.n
     pos = {v: i for i, v in enumerate(g.vertices)}
     edges: list[tuple[int, int]] = []
@@ -195,7 +179,7 @@ def duplicate_join(g: Graph) -> DoubledGraph:
     combined = Graph.build(range(2 * n), edges)
     if combined.m != 2 * g.m + n * n:
         raise ContractViolation(f"doubled graph has {combined.m} edges, expected {2 * g.m + n * n}")
-    return DoubledGraph(g, combined)
+    return combined
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from .errors import (
     is_real,
 )
 from .exact_oracle import STATUS_OPTIMAL, exact_vc
-from .graph_core import Graph, duplicate_join, graph_from_json, parse_dimacs, to_plain, write_dimacs
+from .graph_core import Graph, graph_from_json, parse_dimacs, to_plain, write_dimacs
 from .lp_relax import HalfIntegralityViolation
 from .pipeline import (
     DEFAULT_CONFIG,
@@ -544,7 +544,10 @@ def _dispatch(args) -> int:
     oracle = None if args.no_exact else exact_vc(g, cfg.oracle_budget)
     trace = evaluate_ratio(trace, oracle)
     _print_summary(instance_id, trace)
-    if args.dump_gram and trace.gram is not None:
+    if args.dump_gram and trace.gram is None:
+        why = "the residual graph has no edge, so no doubled relaxation was solved"
+        print(f"--dump-gram: nothing written to {args.dump_gram}; {why}", file=sys.stderr)
+    elif args.dump_gram:
         doc = {
             "graph": to_plain(trace.residual),
             "doubled": True,
@@ -566,7 +569,7 @@ def _probe_report(base: Graph, gram, doubled: bool, th: Thresholds) -> dict:
         report = classify_property1(emb, base.vertices, th)
         eps = build_epsilon_subgraph(emb, base, th)
         return {"property": report.to_dict(), "epsilon_subgraph": eps.to_dict()}
-    a = analyze_doubled(duplicate_join(base), gram, th)
+    a = analyze_doubled(base, gram, th)
     eps, eps_other, probe = a.band_probe(th)
     return {
         "property_prime": a.rep_p.to_dict(),

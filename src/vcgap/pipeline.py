@@ -14,10 +14,8 @@ from .errors import ArgumentError, ContractViolation, check_int
 from .exact_oracle import NODE_BUDGET, STATUS_OPTIMAL, ExactResult
 from .graph_core import (
     Bipartition,
-    DoubledGraph,
     Graph,
-    duplicate_join,
-    induced_subgraph,
+    duplicate_join,  # not called here: perfbench's LAYER_OF and STAGE_OF still name it
     to_plain,
     verify_cover,
 )
@@ -202,8 +200,7 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
         return _finish(trace, g, decomp, frozenset(), t0)
 
     t = time.perf_counter()
-    dg = duplicate_join(h)
-    gram = admm_solve(build_sdp_doubled(dg))
+    gram = admm_solve(build_sdp_doubled(h))
     trace.gram = gram
     trace.z_sdp_doubled = gram.objective_value
     trace.sdp_converged = gram.converged
@@ -217,20 +214,20 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
         return _finish(trace, g, decomp, maximal_matching_cover(h), t0)
 
     t = time.perf_counter()
-    a = analyze_doubled(dg, gram, cfg.thresholds)
+    a = analyze_doubled(h, gram, cfg.thresholds)
     trace.property_prime = a.rep_p.to_dict()
     trace.property_double_prime = a.rep_d.to_dict()
 
     if not a.rep_p.holds_1a:
-        cover_h = _cut_copy(trace, STEP_CUT_PRIME, a, a.dg.copy_ids(0), h)
+        cover_h = _cut_copy(trace, STEP_CUT_PRIME, a, 0)
     elif not a.rep_d.holds_1a:
-        cover_h = _cut_copy(trace, STEP_CUT_DOUBLE_PRIME, a, a.dg.copy_ids(1), h)
+        cover_h = _cut_copy(trace, STEP_CUT_DOUBLE_PRIME, a, 1)
     elif not a.rep_p.holds_1b:
         cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_PRIME, a.rep_p, h, cfg.thresholds)
     elif not a.rep_d.holds_1b:
         cover_h = _arbitrary_with_bound(trace, STEP_ARBITRARY_DOUBLE_PRIME, a.rep_d, h, cfg.thresholds)
     else:
-        cover_h = _bipartite_step(trace, a, h, cfg.thresholds)
+        cover_h = _bipartite_step(trace, a, cfg.thresholds)
     trace.timings["rounding"] = time.perf_counter() - t
     log.debug(
         "rounding branch: %s; copy 1 below_half=%d above_band=%d, copy 2 below_half=%d above_band=%d",
@@ -242,42 +239,58 @@ def mahdis_run(g: Graph, cfg: PipelineConfig = DEFAULT_CONFIG) -> RunTrace:
 
 @dataclass(frozen=True)
 class DoubledAnalysis:
-    """A solved doubled relaxation read back: the unit vectors with their
-    origin products and the Property-1 report of each copy."""
+    """A solved doubled relaxation of h read back: the unit vectors with their
+    origin products and the Property-1 report of each copy.
 
-    dg: DoubledGraph
+    The embedding's ids are the doubled graph's positional ids: copy k
+    (0 for the first, 1 for the second) holds k*n..(k+1)*n - 1, and id c
+    copies h's vertex at position c mod n.
+    """
+
+    h: Graph
     emb: VectorEmbedding
     rep_p: PropertyReport
     rep_d: PropertyReport
+
+    def copy_ids(self, copy: int) -> range:
+        n = self.h.n
+        return range(copy * n, (copy + 1) * n)
+
+    def base_id(self, combined_id: int) -> int:
+        return self.h.vertices[combined_id % self.h.n]
+
+    def copy_graph(self, copy: int) -> Graph:
+        """Copy `copy` of h on its ids: the doubled graph's induced subgraph
+        there, built from h's edges alone."""
+        pos = {v: i + copy * self.h.n for i, v in enumerate(self.h.vertices)}
+        return Graph.build(self.copy_ids(copy), ((pos[u], pos[v]) for u, v in self.h.edges))
 
     def band_probe(self, th: Thresholds) -> tuple[EpsilonSubgraph, EpsilonSubgraph, OddCycleProbe]:
         """Both copies' band subgraphs and the odd-cycle probe on the first
         copy's, anchored on the second copy's first band edge in edge order
         (none when that band subgraph has no edge)."""
-        eps = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dg.copy_ids(0)), th)
-        eps_other = build_epsilon_subgraph(self.emb, induced_subgraph(self.dg.combined, self.dg.copy_ids(1)), th)
+        eps = build_epsilon_subgraph(self.emb, self.copy_graph(0), th)
+        eps_other = build_epsilon_subgraph(self.emb, self.copy_graph(1), th)
         anchor = eps_other.graph.edges[0] if eps_other.graph.edges else None
         return eps, eps_other, odd_cycle_probe(self.emb, eps, anchor)
 
 
-def analyze_doubled(dg: DoubledGraph, gram: GramSolution, th: Thresholds) -> DoubledAnalysis:
-    """Factor the doubled Gram into vectors and classify both copies."""
-    emb = extract_vectors(gram)
-    rep_p = classify_property1(emb, dg.copy_ids(0), th)
-    return DoubledAnalysis(dg, emb, rep_p, classify_property1(emb, dg.copy_ids(1), th))
+def analyze_doubled(h: Graph, gram: GramSolution, th: Thresholds) -> DoubledAnalysis:
+    """Factor the doubled Gram of h into vectors and classify both copies."""
+    a = DoubledAnalysis(h, extract_vectors(gram), None, None)
+    rep_p, rep_d = (classify_property1(a.emb, a.copy_ids(copy), th) for copy in (0, 1))
+    return replace(a, rep_p=rep_p, rep_d=rep_d)
 
 
-def _cut_copy(
-    trace: RunTrace, step: str, a: DoubledAnalysis, copy_ids: range, h: Graph
-) -> frozenset[int]:
+def _cut_copy(trace: RunTrace, step: str, a: DoubledAnalysis, copy: int) -> frozenset[int]:
     """Threshold cut on one copy, verified on the working graph and repaired
     edge-by-edge when infeasible (possible because cross entries may push an
     edge's two products below one half simultaneously)."""
-    dg = a.dg
-    cover = frozenset(map(dg.base_id, threshold_cut(a.emb, copy_ids)))
+    h, copy_ids = a.h, a.copy_ids(copy)
+    cover = frozenset(map(a.base_id, threshold_cut(a.emb, copy_ids)))
     uncovered = verify_cover(h, cover)
     if uncovered:
-        products = {dg.base_id(c): a.emb.origin[c] for c in copy_ids}
+        products = {a.base_id(c): a.emb.origin[c] for c in copy_ids}
         # the higher-product endpoint of each uncovered edge; none is in the cut yet
         added = {u if (products[u], -u) >= (products[v], -v) else v for u, v in uncovered}
         cover |= added
@@ -318,9 +331,10 @@ def _arbitrary_with_bound(trace: RunTrace, step: str, report, h: Graph, th: Thre
     return maximal_matching_cover(h)
 
 
-def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, th: Thresholds) -> frozenset[int]:
+def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, th: Thresholds) -> frozenset[int]:
     """Both product conditions hold: solve the band subgraph of the first copy
     exactly when bipartite, else record the odd-cycle probe and fall back."""
+    h = a.h
     eps, _, probe = a.band_probe(th)
     trace.theorem6_probe = to_plain(probe)
 
@@ -333,8 +347,8 @@ def _bipartite_step(trace: RunTrace, a: DoubledAnalysis, h: Graph, th: Threshold
     coloring = Bipartition(*map(frozenset, probe.classes))
     matching = max_matching(eps.graph, coloring)
     eps_cover = konig_cover(eps.graph, coloring, matching)
-    in_combined = eps_cover | (set(a.dg.copy_ids(0)) - eps.v_eps)
-    cover = frozenset(map(a.dg.base_id, in_combined))
+    in_combined = eps_cover | (set(a.copy_ids(0)) - eps.v_eps)
+    cover = frozenset(map(a.base_id, in_combined))
     uncovered = verify_cover(h, cover)
     if uncovered:
         raise ContractViolation(f"band-subgraph completion missed edges {uncovered[:5]}")

@@ -5,6 +5,8 @@ The single-graph model has one Gram variable per vertex plus a distinguished
 index 0; every edge contributes the equality X[0,i] + X[0,j] - X[i,j] = 1.
 The doubled-graph model applies the same equalities to both copies and to
 every cross pair, with cross entries boxed to [-1, 1] instead of [0, 1].
+`build_sdp_doubled(h)` builds it from h's edges, never forming the doubled
+graph. Every upper box is 1, so a problem carries its lower boxes only.
 
 The solver splits the feasible set into three blocks (equality subspace, box,
 PSD cone) and runs consensus ADMM: each block is an exact projection, the
@@ -42,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ArgumentError, SolverError, VcgapError, check_int, check_keys, check_real, is_real
-from .graph_core import DoubledGraph, Graph, to_plain
+from .graph_core import Graph, to_plain
 
 TAU_FEAS = 1e-5  # ADMM's stopping rule: residuals at most TAU_FEAS,
 TAU_OBJ = 1e-6  # the objective's move since the last check at most TAU_OBJ,
@@ -180,7 +182,8 @@ class ExtractionError(VcgapError):
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Edge equalities X[0,i]+X[0,j]-X[i,j]=1 over a boxed PSD matrix.
+    """Edge equalities X[0,i]+X[0,j]-X[i,j]=1 over a PSD matrix boxed to
+    [lo, 1] entrywise.
 
     con_i/con_j hold the matrix column indices (1-based within the matrix,
     index 0 being the distinguished vertex) of each constraint's pair.
@@ -190,7 +193,6 @@ class SdpProblem:
     con_i: np.ndarray
     con_j: np.ndarray
     lo: np.ndarray
-    hi: np.ndarray
 
     @property
     def n_constraints(self) -> int:
@@ -257,20 +259,29 @@ def build_sdp_single(g: Graph) -> SdpProblem:
     con_j = np.array([pos[v] for u, v in g.edges], dtype=int)
     d = g.n + 1
     lo = np.zeros((d, d))
-    hi = np.ones((d, d))
     np.fill_diagonal(lo, 1.0)
-    return SdpProblem(d, con_i, con_j, lo, hi)
+    return SdpProblem(d, con_i, con_j, lo)
 
 
-def build_sdp_doubled(dg: DoubledGraph) -> SdpProblem:
-    """Relaxation on the doubled graph: the single-graph relaxation of the
-    combined graph with the cross block (one index in each copy) widened to
-    [-1, 1]. Combined ids are positional, so the first copy is indices 1..n."""
-    p = build_sdp_single(dg.combined)
-    n = dg.base.n
-    p.lo[1 : n + 1, n + 1 :] = -1.0
-    p.lo[n + 1 :, 1 : n + 1] = -1.0
-    return p
+def build_sdp_doubled(h: Graph) -> SdpProblem:
+    """Relaxation on the doubled graph of h: the single-graph relaxation of
+    `duplicate_join(h)` with the cross block (one index in each copy) widened
+    to [-1, 1], built from h's edges without forming that graph. Combined ids
+    are positional, so copy one is indices 1..n and copy two n+1..2n; the
+    constraints are h's edges, every cross pair (i, n+j) and h's edges shifted
+    by n, sorted as the combined graph's edges are."""
+    n = h.n
+    pos = {v: i for i, v in enumerate(h.vertices)}
+    e = np.array([(pos[u], pos[v]) for u, v in h.edges], dtype=int).reshape(-1, 2)
+    cross = np.stack([np.repeat(np.arange(n), n), np.tile(np.arange(n, 2 * n), n)], axis=1)
+    i, j = np.concatenate([e, cross, e + n]).T
+    order = np.lexsort((j, i))
+    d = 2 * n + 1
+    lo = np.zeros((d, d))
+    np.fill_diagonal(lo, 1.0)
+    lo[1 : n + 1, n + 1 :] = -1.0
+    lo[n + 1 :, 1 : n + 1] = -1.0
+    return SdpProblem(d, i[order] + 1, j[order] + 1, lo)
 
 
 def psd_project(mat: np.ndarray) -> np.ndarray:
@@ -380,7 +391,7 @@ def admm_solve(p: SdpProblem) -> GramSolution:
     if d == 1:
         return GramSolution(np.ones((1, 1)), 0.0, 0.0, 0.0, 1.0, 0, True)
     affine = _normal_matrix_factor(p)
-    lo, hi = p.lo, p.hi
+    lo = p.lo
     C = np.zeros((d, d))
     C[0, 1:] = 0.5
     C[1:, 0] = 0.5
@@ -403,7 +414,7 @@ def admm_solve(p: SdpProblem) -> GramSolution:
         Z_prev = Z
         X = Z - U
         _project_affine(X[0], affine)
-        X[1].clip(lo, hi, out=X[1])  # the method skips np.clip's dispatch layers
+        X[1].clip(lo, 1.0, out=X[1])  # the method skips np.clip's dispatch layers
         X2 = psd_project(X[2])
         X[2] = X2
         Xh = alpha * X
@@ -462,7 +473,7 @@ def _residuals(M: np.ndarray, p: SdpProblem) -> tuple[float, float]:
         r_eq = float(np.max(np.abs(M[0, p.con_i] + M[0, p.con_j] - M[p.con_i, p.con_j] - 1.0)))
     else:
         r_eq = 0.0
-    r_box = float(max(np.max(p.lo - M, initial=0.0), np.max(M - p.hi, initial=0.0)))
+    r_box = float(max(np.max(p.lo - M, initial=0.0), np.max(M - 1.0, initial=0.0)))
     return r_eq, max(r_box, 0.0)
 
 
@@ -476,15 +487,15 @@ def _reduce(p: SdpProblem) -> tuple[np.ndarray, ...]:
     and lo[k] is its lower box. Variable u's constraint matrix is
     e_r w^T + w e_r^T for r = r[u] and w = w[:, u]: for a_i, r = i and w is
     e_0 plus the pinned neighbours of i; for a free pair (p, q), r = p and
-    w = e_q. Raises ArgumentError unless the diagonal is fixed at 1, every
-    upper box is >= 1 and every lower box <= 0, which makes
+    w = e_q. Raises ArgumentError unless the diagonal is fixed at 1 and every
+    lower box off it is <= 0, which with the upper box 1 makes
     y = (1 - 1/dim, then 1 - 2/dim) strictly feasible.
     """
     d = p.dim
     P, Q = np.nonzero(np.arange(d)[:, None] < np.arange(d))
-    lo, hi = p.lo[P, Q], p.hi[P, Q]
-    if not ((p.lo.diagonal() == 1.0).all() and (p.hi.diagonal() == 1.0).all() and hi.min() >= 1.0 and lo.max() <= 0.0):
-        raise ArgumentError("ipm_solve needs a unit diagonal, upper boxes >= 1 and lower boxes <= 0 off it")
+    lo = p.lo[P, Q]
+    if not ((p.lo.diagonal() == 1.0).all() and lo.max() <= 0.0):
+        raise ArgumentError("ipm_solve needs a unit diagonal and lower boxes <= 0 off it")
     i, j = np.minimum(p.con_i, p.con_j), np.maximum(p.con_i, p.con_j)
     pin = i * (2 * d - i - 1) // 2 + j - i - 1  # the index of pair (i, j)
     nv = d - 1

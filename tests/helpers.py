@@ -79,6 +79,22 @@ def embedding_of(vectors: np.ndarray) -> VectorEmbedding:
     return VectorEmbedding(vectors, tuple(float(vectors[0] @ row) for row in vectors[1:]))
 
 
+def lift_kg(y: np.ndarray) -> np.ndarray:
+    """The doubled Gram of a point y of the Kleinberg-Goemans SDP (dim n+1,
+    unit diagonal, x0i + x0j - xij = 1 on each edge): a = (1 + y[0, 1:]) / 2
+    in both copies, (1 + y_ij) / 2 inside a copy and a_i + a_j - 1 across
+    them."""
+    n = y.shape[0] - 1
+    a = (1.0 + y[0, 1:]) / 2.0
+    same = (1.0 + y[1:, 1:]) / 2.0
+    cross = a[:, None] + a[None, :] - 1.0
+    lifted = np.empty((2 * n + 1, 2 * n + 1))
+    lifted[0, 0] = 1.0
+    lifted[0, 1:] = lifted[1:, 0] = np.concatenate([a, a])
+    lifted[1:, 1:] = np.block([[same, cross], [cross, same]])
+    return lifted
+
+
 def exact_vc_enumerate(g: Graph, limit_n: int = 22) -> ExactResult:
     """Subset enumeration by increasing size; independent of the oracle's
     branch and bound."""

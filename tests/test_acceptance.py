@@ -28,7 +28,6 @@ from vcgap.rounding_geometry import (
     theorem4_lower_bound,
 )
 from vcgap.sdp_solve import admm_solve, build_sdp_doubled, build_sdp_single
-from vcgap.graph_core import duplicate_join
 
 GRID = (0.0, 0.5, 1.0)
 
@@ -97,7 +96,7 @@ def test_acceptance_3_relaxation_sanity():
         z_lp = simplex_solve(build_vc_lp(g)).objective_value
         assert z_lp <= z_exact + 1e-7
         single = admm_solve(build_sdp_single(g))
-        doubled = admm_solve(build_sdp_doubled(duplicate_join(g)))
+        doubled = admm_solve(build_sdp_doubled(g))
         if single.converged and doubled.converged:
             converged += 1
             assert single.objective_value <= z_exact + 1e-3

@@ -18,7 +18,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from helpers import complete_graph, cycle_graph, random_gnp
-from vcgap.graph_core import Graph, duplicate_join
+from vcgap.graph_core import Graph
 from vcgap import sdp_solve
 from vcgap.harness_cli import generate_graph
 from vcgap.sdp_solve import (
@@ -78,7 +78,7 @@ def _ref_residuals(M, p):
         r_eq = float(np.max(np.abs(M[0, p.con_i] + M[0, p.con_j] - M[p.con_i, p.con_j] - 1.0)))
     else:
         r_eq = 0.0
-    r_box = float(max(np.max(p.lo - M, initial=0.0), np.max(M - p.hi, initial=0.0)))
+    r_box = float(max(np.max(p.lo - M, initial=0.0), np.max(M - 1.0, initial=0.0)))
     return r_eq, max(r_box, 0.0)
 
 
@@ -104,7 +104,7 @@ def reference_admm_solve(p: SdpProblem, moves: Counter | None = None) -> GramSol
     U = [np.zeros((d, d)) for _ in range(3)]
     projections = [
         lambda V: _ref_project_affine(V, p, factor),
-        lambda V: np.clip(V, p.lo, p.hi),
+        lambda V: np.clip(V, p.lo, 1.0),
         _ref_psd_project,
     ]
 
@@ -176,7 +176,7 @@ def _single(g):
 
 
 def _doubled(g):
-    return build_sdp_doubled(duplicate_join(g))
+    return build_sdp_doubled(g)
 
 
 PROBLEMS = {

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,6 +48,25 @@ class TestExactVc:
     def test_empty_and_edgeless(self):
         assert exact_vc(Graph.build([], [])).size == 0
         assert exact_vc(Graph.build(range(6), [])).size == 0
+
+    def test_deep_search_needs_no_recursion(self):
+        # under a recursion limit of 120 a recursive search of this graph
+        # raises RecursionError within its first 500 nodes
+        code = (
+            "import json, sys\n"
+            "from vcgap.exact_oracle import exact_vc\n"
+            "from vcgap.harness_cli import generate_graph\n"
+            "g = generate_graph('gnp', 300, 20 / 300, 1)\n"
+            "sys.setrecursionlimit(120)\n"
+            "r = exact_vc(g, 500)\n"
+            "print(json.dumps([r.status, r.nodes_explored]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        status, nodes = json.loads(out.stdout)
+        assert status in (STATUS_UNKNOWN, STATUS_OPTIMAL) and nodes <= 501
 
     def test_enumeration_rejects_large(self):
         with pytest.raises(ArgumentError):

@@ -160,37 +160,33 @@ class TestBipartiteDoubleCover:
 
 class TestDuplicateJoin:
     def test_single_vertex_gives_one_cross_edge(self):
-        dg = duplicate_join(Graph.build([7], []))
-        assert dg.combined.n == 2 and dg.combined.m == 1
+        comb = duplicate_join(Graph.build([7], []))
+        assert comb.n == 2 and comb.m == 1
 
     def test_k2_gives_k4(self):
-        dg = duplicate_join(complete_graph(2))
-        assert dg.combined.n == 4 and dg.combined.m == 6
+        comb = duplicate_join(complete_graph(2))
+        assert comb.n == 4 and comb.m == 6
 
     def test_k3_gives_k6(self):
-        dg = duplicate_join(complete_graph(3))
-        assert dg.combined.n == 6 and dg.combined.m == 15
-        assert dg.combined.m == len(complete_graph(6, start=0).edges)
+        comb = duplicate_join(complete_graph(3))
+        assert comb.n == 6 and comb.m == 15
+        assert comb.m == len(complete_graph(6, start=0).edges)
 
     def test_edge_count_formula_random(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(1, 12))
             g = random_gnp(n, float(rng.random()), seed=int(rng.integers(1 << 30)))
-            dg = duplicate_join(g)
-            assert dg.combined.m == 2 * g.m + n * n
+            assert duplicate_join(g).m == 2 * g.m + n * n
 
-    def test_copy_ids_and_order(self):
-        g = Graph.build([5, 9], [(5, 9)])
-        dg = duplicate_join(g)
-        assert tuple(dg.copy_ids(0)) == (0, 1)
-        assert tuple(dg.copy_ids(1)) == (2, 3)
-        assert [dg.base_id(c) for c in range(4)] == [5, 9, 5, 9]
+    def test_positional_ids_and_edges(self):
+        comb = duplicate_join(Graph.build([5, 9], [(5, 9)]))
+        assert comb.vertices == (0, 1, 2, 3)
         # within-copy edges mirror the base, every cross pair present
-        assert (0, 1) in dg.combined.edges and (2, 3) in dg.combined.edges
+        assert (0, 1) in comb.edges and (2, 3) in comb.edges
         for i in (0, 1):
             for j in (2, 3):
-                assert (i, j) in dg.combined.edges
+                assert (i, j) in comb.edges
 
 
 class TestFindOddCycle:

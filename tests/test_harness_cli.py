@@ -10,7 +10,7 @@ import pytest
 from helpers import complete_graph
 from vcgap import harness_cli, sdp_solve
 from vcgap.errors import ArgumentError, ContractViolation, ParseError, SolverError, VcgapError
-from vcgap.graph_core import Bipartition, OddCycle, find_odd_cycle, parse_dimacs, write_dimacs
+from vcgap.graph_core import Bipartition, Graph, OddCycle, find_odd_cycle, parse_dimacs, write_dimacs
 from vcgap.harness_cli import (
     CSV_COLUMNS,
     emit_report,
@@ -493,6 +493,17 @@ class TestCliMain:
         assert "odd_cycle_probe" in doc
         assert doc["property_prime"] == trace["property_prime"]
         assert doc["property_double_prime"] == trace["property_double_prime"]
+
+    def test_dump_gram_without_a_doubled_solve_says_why(self, tmp_path, capsys):
+        # a star kernelizes to an edgeless residual: no doubled solve, so no Gram
+        path = tmp_path / "star.dimacs"
+        path.write_text(write_dimacs(Graph.build(range(4), [(0, 1), (0, 2), (0, 3)])))
+        gram_path = tmp_path / "gram.json"
+        assert main(["solve", str(path), "--dump-gram", str(gram_path), "--no-exact"]) == 0
+        out, err = capsys.readouterr()
+        assert f"step={STEP_EDGELESS}" in out
+        assert not gram_path.exists()
+        assert err.count("\n") == 1 and str(gram_path) in err and "no doubled relaxation was solved" in err
 
     @pytest.mark.parametrize("case,key", list(BAD_PROBES.values()), ids=list(BAD_PROBES))
     def test_probe_rejects_malformed_document(self, case, key, tmp_path, capsys):

@@ -11,7 +11,7 @@ from helpers import check_plain_record, complete_graph, cycle_graph, embedding_o
 from vcgap import pipeline, sdp_solve
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import ExactResult, exact_vc
-from vcgap.graph_core import Graph, duplicate_join, verify_cover, write_dimacs
+from vcgap.graph_core import Graph, duplicate_join, induced_subgraph, verify_cover, write_dimacs
 from vcgap.harness_cli import CSV_COLUMNS, generate_graph, main
 from vcgap.lp_relax import cover_relaxation, nt_decompose
 from vcgap.pipeline import (
@@ -201,7 +201,6 @@ class TestMahdisRun:
 class TestCutRepair:
     def test_infeasible_cut_is_repaired_and_recorded(self):
         g = complete_graph(2)
-        dg = duplicate_join(g)
         # both first-copy products below one half: the raw cut covers nothing
         vectors = np.zeros((5, 5))
         vectors[0, 0] = 1.0
@@ -209,13 +208,27 @@ class TestCutRepair:
             vectors[idx, 0] = p
             vectors[idx, idx] = np.sqrt(1 - p * p)
         trace = RunTrace("1", g, 2, 1, step_taken="")
-        a = DoubledAnalysis(dg, embedding_of(vectors), None, None)
-        cover = _cut_copy(trace, STEP_CUT_PRIME, a, dg.copy_ids(0), g)
+        a = DoubledAnalysis(g, embedding_of(vectors), None, None)
+        cover = _cut_copy(trace, STEP_CUT_PRIME, a, 0)
         assert verify_cover(g, cover) == []
         assert trace.repairs and trace.repairs[0]["step"] == STEP_CUT_PRIME
         assert "cut_repaired" in trace.flags
         # the higher-product endpoint (vertex 1 at 0.4) was chosen
         assert trace.repairs[0]["added"] == [1]
+
+
+class TestDoubledAnalysis:
+    def test_copy_ids_and_base_ids(self):
+        a = DoubledAnalysis(Graph.build([5, 9], [(5, 9)]), None, None, None)
+        assert tuple(a.copy_ids(0)) == (0, 1)
+        assert tuple(a.copy_ids(1)) == (2, 3)
+        assert [a.base_id(c) for c in range(4)] == [5, 9, 5, 9]
+
+    @pytest.mark.parametrize("g", [Graph.build([], []), Graph.build([4], []), complete_graph(3), random_gnp(9, 0.4, seed=3)])
+    def test_copy_graph_is_the_doubled_graphs_induced_subgraph(self, g):
+        a = DoubledAnalysis(g, None, None, None)
+        for copy in (0, 1):
+            assert a.copy_graph(copy) == induced_subgraph(duplicate_join(g), a.copy_ids(copy))
 
 
 class TestEvaluateRatio:

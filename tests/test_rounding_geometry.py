@@ -14,7 +14,7 @@ from vcgap.graph_core import (
     to_plain,
     verify_cover,
 )
-from vcgap.pipeline import analyze_doubled
+from vcgap.pipeline import DoubledAnalysis, analyze_doubled
 from vcgap.rounding_geometry import (
     EpsilonSubgraph,
     OddCycleProbe,
@@ -477,21 +477,23 @@ class TestPositionalReadingMatchesLabels:
     def test_same_reports_cuts_bands_and_probes(self, seed):
         base, rows = random_doubled_case(seed)
         n = base.n
-        dg = duplicate_join(base)
+        combined = duplicate_join(base)
         gram = GramSolution(rows @ rows.T, 0.0, 0.0, 0.0, 0.0, 1, True)
         origin = reference_origin_map(base)
         # exact products from the rows themselves, then the same Gram factored
         for emb in (embedding_of(rows), extract_vectors(gram)):
-            ref = LabelEmbedding(emb.vectors, dg.combined.vertices)
+            a = DoubledAnalysis(base, emb, None, None)
+            ref = LabelEmbedding(emb.vectors, combined.vertices)
             eps = []
             for copy, tag in enumerate(("prime", "double_prime")):
-                copy_ids = tuple(c for c in dg.combined.vertices if origin[c][0] == tag)
-                assert tuple(dg.copy_ids(copy)) == copy_ids
-                assert [dg.base_id(c) for c in copy_ids] == [origin[c][1] for c in copy_ids]
-                got = classify_property1(emb, dg.copy_ids(copy), POSITIONAL_TH)
+                copy_ids = tuple(c for c in combined.vertices if origin[c][0] == tag)
+                assert tuple(a.copy_ids(copy)) == copy_ids
+                assert [a.base_id(c) for c in copy_ids] == [origin[c][1] for c in copy_ids]
+                got = classify_property1(emb, a.copy_ids(copy), POSITIONAL_TH)
                 assert got == reference_classify(ref, copy_ids, POSITIONAL_TH)
-                assert threshold_cut(emb, dg.copy_ids(copy)) == reference_cut(ref, copy_ids)
-                sub = induced_subgraph(dg.combined, copy_ids)
+                assert threshold_cut(emb, a.copy_ids(copy)) == reference_cut(ref, copy_ids)
+                sub = induced_subgraph(combined, copy_ids)
+                assert a.copy_graph(copy) == sub
                 eps.append(build_epsilon_subgraph(emb, sub, POSITIONAL_TH))
                 assert eps[-1] == reference_band(ref, sub, POSITIONAL_TH)
             other_edge = eps[1].graph.edges[0] if eps[1].graph.edges else None
@@ -501,8 +503,8 @@ class TestPositionalReadingMatchesLabels:
                 if probe.bipartite:
                     # the bipartite step reads its coloring from the probe
                     assert Bipartition(*map(frozenset, probe.classes)) == find_odd_cycle(eps[0].graph)
-        a = analyze_doubled(dg, gram, POSITIONAL_TH)
-        ref = LabelEmbedding(extract_vectors(gram).vectors, dg.combined.vertices)
+        a = analyze_doubled(base, gram, POSITIONAL_TH)
+        ref = LabelEmbedding(extract_vectors(gram).vectors, combined.vertices)
         assert (a.rep_p, a.rep_d) == tuple(
             reference_classify(ref, [c for c in origin if origin[c][0] == tag], POSITIONAL_TH)
             for tag in ("prime", "double_prime")
@@ -515,8 +517,7 @@ class TestPositionalReadingMatchesLabels:
             emb = embedding_of(rows)
             exact_half += emb.origin.count(0.5)
             exact_top += emb.origin.count(POSITIONAL_TH.band_top)
-            dg = duplicate_join(base)
-            eps = build_epsilon_subgraph(emb, induced_subgraph(dg.combined, dg.copy_ids(0)), POSITIONAL_TH)
+            eps = build_epsilon_subgraph(emb, DoubledAnalysis(base, emb, None, None).copy_graph(0), POSITIONAL_TH)
             if odd_cycle_probe(emb, eps, None).bipartite:
                 bipartite += 1
             else:

@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from helpers import brute_force_min_cover, complete_graph, cycle_graph, kneser_graph, petersen_graph, random_gnp
+from helpers import brute_force_min_cover, complete_graph, cycle_graph, kneser_graph, lift_kg, petersen_graph, random_gnp
 from vcgap.errors import ArgumentError
 from vcgap import sdp_solve
 from vcgap.exact_oracle import exact_vc
@@ -33,8 +33,9 @@ class TestBuildSingle:
     def test_k2(self):
         p = build_sdp_single(complete_graph(2))
         assert p.dim == 3 and p.n_constraints == 1
-        assert p.lo[0, 0] == p.hi[0, 0] == 1.0
-        assert p.lo[0, 1] == 0.0 and p.hi[0, 1] == 1.0
+        assert p.lo[0, 0] == 1.0 and p.lo[0, 1] == 0.0
+        # every upper box is 1, so the problem carries none
+        assert [f.name for f in fields(p)] == ["dim", "con_i", "con_j", "lo"]
 
     def test_k3(self):
         p = build_sdp_single(complete_graph(3))
@@ -48,23 +49,29 @@ class TestBuildSingle:
         assert gs.converged and gs.objective_value == pytest.approx(0.0, abs=1e-4)
 
 
-def reference_build_sdp_doubled(dg):
-    """The doubled builder as it stood before it was expressed through
-    build_sdp_single: its own encoding of the edge equalities and boxes."""
-    comb = dg.combined
+def reference_build_sdp_doubled(h):
+    """The doubled relaxation by its definition, in its own encoding: the
+    single relaxation of the doubled graph duplicate_join(h), every entry
+    boxed to [0, 1] and the diagonal to 1, with the cross block (one index in
+    each copy) widened to [-1, 1]."""
+    comb = duplicate_join(h)
     pos = {v: i + 1 for i, v in enumerate(comb.vertices)}
     con_i = np.array([pos[u] for u, v in comb.edges], dtype=int)
     con_j = np.array([pos[v] for u, v in comb.edges], dtype=int)
     d = comb.n + 1
     lo = np.zeros((d, d))
-    hi = np.ones((d, d))
-    n = dg.base.n
+    n = h.n
     prime = np.array([pos[c] for c in comb.vertices if c < n], dtype=int)
     dprime = np.array([pos[c] for c in comb.vertices if c >= n], dtype=int)
     lo[np.ix_(prime, dprime)] = -1.0
     lo[np.ix_(dprime, prime)] = -1.0
     np.fill_diagonal(lo, 1.0)
-    return d, con_i, con_j, lo, hi
+    return d, con_i, con_j, lo
+
+
+def spread_ids(g: Graph) -> Graph:
+    """g with vertex v renamed 3v + 5: ids that are not positions."""
+    return Graph.build([3 * v + 5 for v in g.vertices], [(3 * u + 5, 3 * v + 5) for u, v in g.edges])
 
 
 DOUBLED_BASES = {
@@ -74,32 +81,32 @@ DOUBLED_BASES = {
     "c5": cycle_graph(5),
     "gnp9": random_gnp(9, 0.4, seed=3),
     "gnp12": random_gnp(12, 0.3, seed=8),
+    "gnp14-spread": spread_ids(random_gnp(14, 0.3, seed=14)),
+    "c30-spread": spread_ids(cycle_graph(30, start=0)),
 }
 
 
 class TestBuildDoubled:
     @pytest.mark.parametrize("g", list(DOUBLED_BASES.values()), ids=list(DOUBLED_BASES))
     def test_matches_reference_builder(self, g):
-        dg = duplicate_join(g)
-        p = build_sdp_doubled(dg)
-        d, con_i, con_j, lo, hi = reference_build_sdp_doubled(dg)
-        # matrix index c + 1 is combined vertex c
-        assert p.dim == d and dg.combined.vertices == tuple(range(d - 1))
-        for got, want in ((p.con_i, con_i), (p.con_j, con_j), (p.lo, lo), (p.hi, hi)):
+        p = build_sdp_doubled(g)
+        d, con_i, con_j, lo = reference_build_sdp_doubled(g)
+        assert p.dim == d
+        for got, want in ((p.con_i, con_i), (p.con_j, con_j), (p.lo, lo)):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_base_k2(self):
-        p = build_sdp_doubled(duplicate_join(complete_graph(2)))
+        p = build_sdp_doubled(complete_graph(2))
         assert p.dim == 5 and p.n_constraints == 6
         # cross entries allow -1, within-copy entries do not
         assert p.lo[1, 3] == -1.0 and p.lo[1, 2] == 0.0
 
     def test_single_vertex(self):
-        p = build_sdp_doubled(duplicate_join(Graph.build([4], [])))
+        p = build_sdp_doubled(Graph.build([4], []))
         assert p.dim == 3 and p.n_constraints == 1
 
     def test_base_k3(self):
-        p = build_sdp_doubled(duplicate_join(complete_graph(3)))
+        p = build_sdp_doubled(complete_graph(3))
         assert p.dim == 7 and p.n_constraints == 15
 
 
@@ -149,7 +156,7 @@ class TestAdmmSolve:
             g = random_gnp(n, float(rng.random() * 0.7 + 0.15), seed=int(rng.integers(1 << 30)))
             exact = brute_force_min_cover(g)
             single = admm_solve(build_sdp_single(g))
-            doubled = admm_solve(build_sdp_doubled(duplicate_join(g)))
+            doubled = admm_solve(build_sdp_doubled(g))
             if single.converged:
                 assert single.objective_value <= exact + 1e-3
             if doubled.converged:
@@ -220,7 +227,7 @@ class TestIpmSolve:
 
     @pytest.mark.parametrize("g", [complete_graph(3), cycle_graph(5), random_gnp(6, 0.5, seed=2)], ids=["k3", "c5", "gnp6"])
     def test_doubled_agrees_with_admm(self, g):
-        p = build_sdp_doubled(duplicate_join(g))
+        p = build_sdp_doubled(g)
         ipm, admm = ipm_solve(p), admm_solve(p)
         assert ipm.converged and admm.converged
         assert_certified(ipm)
@@ -237,7 +244,7 @@ class TestIpmSolve:
 
     def test_rejects_boxes_it_does_not_model(self):
         p = build_sdp_single(complete_graph(3))
-        p.hi[1, 2] = p.hi[2, 1] = 0.5
+        p.lo[1, 2] = p.lo[2, 1] = 0.5
         with pytest.raises(ArgumentError):
             ipm_solve(p)
 
@@ -301,7 +308,7 @@ class TestSchurRule:
     @pytest.mark.parametrize("doubled", [False, True], ids=["single", "doubled"])
     @pytest.mark.parametrize("g", list(SCHUR_GRAPHS.values()), ids=list(SCHUR_GRAPHS))
     def test_matches_the_definition(self, g, doubled):
-        p = build_sdp_doubled(duplicate_join(g)) if doubled else build_sdp_single(g)
+        p = build_sdp_doubled(g) if doubled else build_sdp_single(g)
         rng = np.random.default_rng(p.dim)
         X, W = random_spd(rng, p.dim), random_spd(rng, p.dim)
         P, Q, t, r, w, f0, lo = sdp_solve._reduce(p)
@@ -356,7 +363,7 @@ class TestExtractVectors:
         assert np.max(np.abs(recon - gs.matrix)) <= 1e-4
 
     def test_origin_is_each_rows_product_with_row_zero(self):
-        gs = admm_solve(build_sdp_doubled(duplicate_join(random_gnp(6, 0.5, seed=2))))
+        gs = admm_solve(build_sdp_doubled(random_gnp(6, 0.5, seed=2)))
         emb = extract_vectors(gs)
         assert len(emb.origin) == 12
         for v, p in enumerate(emb.origin):
@@ -384,19 +391,10 @@ class TestExtractVectors:
 
 
 def lift_cover(g: Graph, cover: frozenset) -> np.ndarray:
-    """The doubled Gram of a cover: x0 = 1 on the cover and -1 off it, the
-    rank-one Y = x x^T with x = (1, x0), then a = (1 + x0) / 2 in both
-    copies, (1 + Y_ij) / 2 inside a copy and a_i + a_j - 1 across them."""
+    """The doubled Gram of a cover: x0 = 1 on the cover and -1 off it, and
+    the rank-one Y = x x^T with x = (1, x0), lifted."""
     x = np.array([1.0] + [1.0 if v in cover else -1.0 for v in g.vertices])
-    y = np.outer(x, x)
-    a = (1.0 + y[0, 1:]) / 2.0
-    same = (1.0 + y[1:, 1:]) / 2.0
-    cross = a[:, None] + a[None, :] - 1.0
-    lifted = np.empty((2 * g.n + 1, 2 * g.n + 1))
-    lifted[0, 0] = 1.0
-    lifted[0, 1:] = lifted[1:, 0] = np.concatenate([a, a])
-    lifted[1:, 1:] = np.block([[same, cross], [cross, same]])
-    return lifted
+    return lift_kg(np.outer(x, x))
 
 
 def theta_cycle(n: int) -> float:
@@ -426,13 +424,13 @@ class TestDoubledBracket:
     def test_optimal_cover_lifts_to_a_feasible_point(self, g):
         cover = exact_vc(g).cover
         lifted = lift_cover(g, cover)
-        assert sdp_solve._residuals(lifted, build_sdp_doubled(duplicate_join(g))) == (0.0, 0.0)
+        assert sdp_solve._residuals(lifted, build_sdp_doubled(g)) == (0.0, 0.0)
         assert np.linalg.eigvalsh(lifted)[0] >= -1e-12
         assert lifted[0, 1:].sum() == 2 * len(cover)
 
     @pytest.mark.parametrize("g,half_value", list(CLOSED_FORMS.values()), ids=list(CLOSED_FORMS))
     def test_doubled_value_is_n_minus_theta(self, g, half_value):
-        p = build_sdp_doubled(duplicate_join(g))
+        p = build_sdp_doubled(g)
         gs = admm_solve(p)
         assert gs.converged
         assert abs(gs.objective_value / 2.0 - half_value) <= ADMM_TOL
@@ -445,7 +443,7 @@ class TestDoubledBracket:
     def test_doubled_value_is_at_least_twice_the_single(self, n, p, seed):
         g = random_gnp(n, p, seed)
         lower, _ = ipm_solve(build_sdp_single(g)).bounds
-        p = build_sdp_doubled(duplicate_join(g))
+        p = build_sdp_doubled(g)
         doubled = admm_solve(p)
         assert doubled.converged
         assert doubled.objective_value >= 2.0 * lower - ADMM_TOL
