@@ -3,11 +3,16 @@
 Branch and bound with degree-one folding, a greedy-matching lower bound, and
 max-degree branching; an explicit node budget turns oversized searches into
 an "unknown" result instead of a wrong number.
+
+A search node is two bitsets over vertex positions (bit i is the i-th vertex
+in id order): the vertices still in play and the vertices chosen. Neighbour
+masks are built once, so a node shares everything else with its parent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bipartite_vc import maximal_matching_cover
 from .errors import ContractViolation
@@ -26,82 +31,71 @@ class ExactResult:
     nodes_explored: int
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def exact_vc(g: Graph, budget: int = NODE_BUDGET) -> ExactResult:
     """Provably minimum vertex cover, or an explicit unknown when the node
     budget runs out."""
-    adj = {v: set(ns) for v, ns in g.adjacency.items()}
-    start = maximal_matching_cover(g)
-    best_size, best_cover = len(start), set(start)
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[pos[u]] |= 1 << pos[v]
+        nbr[pos[v]] |= 1 << pos[u]
+    best_cover = sum(1 << pos[v] for v in maximal_matching_cover(g))
+    best_size = best_cover.bit_count()
     nodes = 0
 
-    def matching_bound(a: dict[int, set[int]]) -> int:
-        used: set[int] = set()
-        size = 0
-        for u in sorted(a):
-            if u in used:
+    def matching_bound(alive: int) -> int:
+        used = 0
+        for u in _bits(alive):
+            if used >> u & 1:
                 continue
-            for w in sorted(a[u]):
-                if w not in used:
-                    used.add(u)
-                    used.add(w)
-                    size += 1
-                    break
-        return size
+            free = nbr[u] & alive & ~used
+            if free:
+                used |= 1 << u | free & -free  # u and its lowest free neighbour
+        return used.bit_count() // 2
 
-    def remove_vertex(a: dict[int, set[int]], v: int) -> None:
-        for w in a.pop(v):
-            a[w].discard(v)
-
-    # Depth first over an explicit stack, visiting nodes in the order a
-    # recursion would: an entry is a node's own (a, chosen), reduced in place
-    # once popped, or (a, chosen, v) for the "v out" child of a branching
-    # node, built when popped, after the "v in" child's whole subtree.
-    stack: list[tuple] = [(adj, set())]
+    # Depth first over an explicit stack of (alive, chosen) nodes, popped in
+    # the order a recursion would visit them: a branching node pushes its
+    # "v out" child below its "v in" child.
+    stack = [((1 << g.n) - 1, 0)]
     while stack:
-        a, chosen, *branch = stack.pop()
-        if branch:
-            # branch: v out, so all its neighbors are in
-            ns = sorted(a[branch[0]])
-            a = {u: set(ns2) for u, ns2 in a.items()}
-            for w in ns:
-                remove_vertex(a, w)
-            chosen = chosen | set(ns)
+        alive, chosen = stack.pop()
         nodes += 1
         if nodes > budget:
             return ExactResult(STATUS_UNKNOWN, None, None, nodes)
-        # reductions: drop isolated vertices, fold degree-one vertices
+        # reductions: drop isolated vertices, fold degree-one vertices (into
+        # the neighbour, after which the vertex is isolated too)
         changed = True
         while changed:
             changed = False
-            for v in sorted(a):
-                if v not in a:
+            for v in _bits(alive):
+                if not alive >> v & 1:
                     continue
-                if not a[v]:
-                    del a[v]
+                ns = nbr[v] & alive
+                if ns & (ns - 1) == 0:
+                    chosen |= ns
+                    alive &= ~(ns | 1 << v)
                     changed = True
-                elif len(a[v]) == 1:
-                    w = next(iter(a[v]))
-                    chosen.add(w)
-                    remove_vertex(a, w)
-                    if v in a and not a[v]:
-                        del a[v]
-                    changed = True
-        if not a:
-            if len(chosen) < best_size:
-                best_size, best_cover = len(chosen), chosen
+        if not alive:
+            if chosen.bit_count() < best_size:
+                best_size, best_cover = chosen.bit_count(), chosen
             continue
-        if len(chosen) + matching_bound(a) >= best_size:
+        if chosen.bit_count() + matching_bound(alive) >= best_size:
             continue
-        v = max(sorted(a), key=lambda u: len(a[u]))
-        stack.append((a, chosen, v))
-        # branch: v in the cover
-        a1 = {u: set(ns) for u, ns in a.items()}
-        remove_vertex(a1, v)
-        stack.append((a1, chosen | {v}))
+        v = max(_bits(alive), key=lambda u: (nbr[u] & alive).bit_count())
+        ns = nbr[v] & alive
+        stack.append((alive & ~ns, chosen | ns))  # v out: all its neighbours in
+        stack.append((alive & ~(1 << v), chosen | 1 << v))  # v in
 
-    cover = frozenset(best_cover)
+    cover = frozenset(g.vertices[i] for i in _bits(best_cover))
     uncovered = verify_cover(g, cover)
     if uncovered:
         raise ContractViolation(f"oracle produced an infeasible cover: {uncovered[:5]}")
     return ExactResult(STATUS_OPTIMAL, best_size, cover, nodes)
-

@@ -151,7 +151,12 @@ def run_instance(spec: dict, cfg: PipelineConfig = DEFAULT_CONFIG, oracle_max_n:
 
     The interior-point method solves it; the row records its certified
     [lower, upper] bracket as `z_sdp_single_bounds` and, when converged, the
-    upper end as `z_sdp_single`. No decision depends on it."""
+    upper end as `z_sdp_single`. The pipeline's decisions do not depend on
+    it, but the row's do: a nonconverged solve appends
+    `sdp_single_nonconverged` to the row's `flags`, which the CSV `flags`
+    column, `_aggregate` and perfbench's `row_fingerprint` all read. So a
+    change to `ipm_solve` that moves its convergence on some instance changes
+    that instance's recorded decision."""
     g = _instance_graph(spec)
     trace = mahdis_run(g, cfg)
     oracle = exact_vc(g, cfg.oracle_budget) if g.n <= oracle_max_n else None

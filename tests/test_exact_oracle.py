@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import complete_graph, cycle_graph, exact_vc_enumerate, petersen_graph, random_gnp
+from helpers import complete_graph, cycle_graph, exact_vc_enumerate, kneser_graph, petersen_graph, random_gnp
 from vcgap.errors import ArgumentError
 from vcgap.exact_oracle import STATUS_OPTIMAL, STATUS_UNKNOWN, exact_vc
 from vcgap.graph_core import Graph, verify_cover
+from vcgap.harness_cli import generate_graph
 
 
 class TestExactVc:
@@ -38,6 +40,31 @@ class TestExactVc:
             n = int(rng.integers(2, 19))
             g = random_gnp(n, float(rng.random() * 0.7 + 0.1), seed=int(rng.integers(1 << 30)))
             assert exact_vc(g).size == exact_vc_enumerate(g).size
+        # every labeled graph on at most 5 vertices, 1,100 in all: each
+        # reduction and branching case at tiny n
+        checked = 0
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for subset in range(1 << len(pairs)):
+                g = Graph.build(range(n), [e for i, e in enumerate(pairs) if subset >> i & 1])
+                result = exact_vc(g)
+                assert result.size == exact_vc_enumerate(g).size == len(result.cover)
+                assert verify_cover(g, result.cover) == []
+                checked += 1
+        assert checked == 1100
+
+    @pytest.mark.parametrize(
+        "g, nodes",
+        [
+            pytest.param(petersen_graph(), 7, id="petersen"),
+            pytest.param(kneser_graph(6, 2), 19, id="k62"),
+            pytest.param(generate_graph("gnp", 30, 0.3, 777), 39, id="acceptance9"),
+        ],
+    )
+    def test_search_visits_a_fixed_number_of_nodes(self, g, nodes):
+        # pins the search itself (reductions, bound, branching order), not
+        # just the optimum it proves
+        assert exact_vc(g).nodes_explored == nodes
 
     def test_budget_exhaustion_returns_unknown(self):
         g = random_gnp(20, 0.5, seed=123)
@@ -66,7 +93,7 @@ class TestExactVc:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         status, nodes = json.loads(out.stdout)
-        assert status in (STATUS_UNKNOWN, STATUS_OPTIMAL) and nodes <= 501
+        assert status == STATUS_UNKNOWN and nodes == 501
 
     def test_enumeration_rejects_large(self):
         with pytest.raises(ArgumentError):
